@@ -1,26 +1,27 @@
 """Command line interface.
 
 Every verb prints a JSON report to stdout (the ``graph`` verb prints the
-graph text format); ``--out DIR`` additionally writes files in the formats
-selected with ``--format``. Exit codes: 0 success, 2 invalid arguments,
-3 resource limit exceeded, 4 impossible measurement outcome.
+graph text format). ``graph``, ``hist``, ``amplify``, ``figures`` and
+``grid-table`` take ``--out DIR`` to also write report files; ``hist`` and
+``figures`` take ``--format`` to select their formats. Exit codes: 0 success,
+2 invalid arguments, 3 resource limit exceeded, 4 impossible measurement
+outcome.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from . import amplifier, analytics, experiments, fullsim
 from .encoding import build_class_table, build_histogram, uniform_histogram
 from .errors import InvalidParameterError, PhaseAmpError
+from .experiments import FORMATS, json_text, slug, write_files
 from .graphs import (
     ObjectiveKind,
     brute_force_optima,
@@ -29,25 +30,30 @@ from .graphs import (
 )
 from .meta import SCHEMA_VERSION, __version__
 
+# What ``figures --experiment all`` regenerates.
+_PAPER_EXPERIMENTS = [e for e in experiments.EXPERIMENT_IDS if e != "custom"]
+
 _ANGLE_RE = re.compile(r"(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?")
 
 
-def _slug(label: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_")
-
-
 def parse_angle(text: str) -> float:
-    """Parse '1.5', 'pi', 'pi/2', '3pi/4', or '2*pi/3' into radians."""
+    """Parse '1.5', 'pi', 'pi/2', '3pi/4', or '2*pi/3' into finite radians."""
     s = text.strip().lower().replace(" ", "")
     match = _ANGLE_RE.fullmatch(s)
     if match:
         coefficient = float(match.group(1)) if match.group(1) else 1.0
         divisor = float(match.group(2)) if match.group(2) else 1.0
-        return coefficient * math.pi / divisor
-    try:
-        return float(s)
-    except ValueError as exc:
-        raise InvalidParameterError(f"cannot parse angle: {text!r}") from exc
+        if divisor == 0:
+            raise InvalidParameterError(f"angle divides by zero: {text!r}")
+        value = coefficient * math.pi / divisor
+    else:
+        try:
+            value = float(s)
+        except ValueError as exc:
+            raise InvalidParameterError(f"cannot parse angle: {text!r}") from exc
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"angle must be finite: {text!r}")
+    return value
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -69,14 +75,11 @@ def _num(value) -> object:
     return v
 
 
-def _print_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _write_out(args: argparse.Namespace, name: str, text: str) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
+def _print_json(doc: dict) -> str:
+    """Print a report to stdout; returns its text for a file copy."""
+    text = json_text(doc)
+    sys.stdout.write(text)
+    return text
 
 
 def _histogram_for(args: argparse.Namespace):
@@ -110,20 +113,16 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if args.out:
-        _write_out(args, f"{_slug(args.spec)}.graph", text)
+        write_files(args.out, [(slug(args.spec), {"graph": lambda: text})])
     return 0
 
 
 def _cmd_hist(args: argparse.Namespace) -> int:
     h, label = _histogram_for(args)
-    doc = {"graph": label, **h.to_json_dict()}
-    _print_json(doc)
+    text = _print_json({"graph": label, **h.to_json_dict()})
     if args.out:
-        slug = _slug(label)
-        if "json" in args.format:
-            _write_out(args, f"hist_{slug}.json", json.dumps(doc, indent=2) + "\n")
-        if "csv" in args.format:
-            _write_out(args, f"hist_{slug}.csv", h.to_csv())
+        files = [(f"hist_{slug(label)}", {"json": lambda: text, "csv": h.to_csv})]
+        write_files(args.out, files, args.format)
     return 0
 
 
@@ -163,22 +162,14 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
         doc["samples"] = [
             amplifier.sample_assignment(state, table, rng) for _ in range(args.sample)
         ]
-    _print_json(doc)
+    text = _print_json(doc)
     if args.out:
-        _write_out(
-            args,
-            f"amplify_{_slug(label)}.json",
-            json.dumps(doc, indent=2) + "\n",
-        )
+        write_files(args.out, [(f"amplify_{slug(label)}", {"json": lambda: text})])
     return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    ids = (
-        [e for e in experiments.EXPERIMENT_IDS if e != "custom"]
-        if args.experiment == "all"
-        else [args.experiment]
-    )
+    ids = _PAPER_EXPERIMENTS if args.experiment == "all" else [args.experiment]
     specs = tuple(args.graphs.split(",")) if args.graphs else None
     written: list[str] = []
     for exp in ids:
@@ -188,8 +179,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             m_max=args.m_max,
             successes=args.successes,
             out_dir=args.out,
-            formats=tuple(args.format),
-            seed=args.seed,
+            formats=args.format,
         )
         written.extend(str(p) for p in experiments.run_experiment(config))
     _print_json({"schema": SCHEMA_VERSION, "written": written})
@@ -295,24 +285,28 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_grid_table(args: argparse.Namespace) -> int:
     table = experiments.grid_table(args.grid, args.successes)
-    doc = table.to_json_dict()
-    _print_json(doc)
+    text = _print_json(table.to_json_dict())
     if args.out:
-        _write_out(args, "grid_table.json", json.dumps(doc, indent=2) + "\n")
+        write_files(args.out, [("grid_table", {"json": lambda: text})])
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, default_out: str | None = None) -> None:
+_OUT_HELP = "directory to also write report files into"
+
+
+def _add_format(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """``--format``: comma-separated formats, each one the verb can write."""
+    allowed = ",".join(formats)
+
+    def parse(text: str) -> tuple[str, ...]:
+        chosen = tuple(dict.fromkeys(part for part in text.split(",") if part))
+        if not chosen or not set(chosen) <= set(formats):
+            raise argparse.ArgumentTypeError(f"expected formats from {allowed}, got {text!r}")
+        return chosen
+
     parser.add_argument(
-        "--out", default=default_out, help="directory to write output files into"
+        "--format", default=allowed, type=parse, help=f"comma-separated, from {allowed}"
     )
-    parser.add_argument(
-        "--format",
-        default="csv,json,svg",
-        type=lambda s: tuple(part for part in s.split(",") if part),
-        help="comma-separated output formats (csv,json,svg)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="rng seed")
 
 
 def _add_histogram_source(parser: argparse.ArgumentParser) -> None:
@@ -344,12 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="line:Q, grid:RxC, starring:Q, or a file path")
     p.add_argument("--optima", action="store_true", help="print brute-force optima as JSON")
     p.add_argument("--objective", default="maxcut")
-    _add_common(p)
+    p.add_argument("--out", help=_OUT_HELP)
     p.set_defaults(func=_cmd_graph)
 
     p = verbs.add_parser("hist", help="phase-level histogram of a graph or uniform model")
     _add_histogram_source(p)
-    _add_common(p)
+    p.add_argument("--out", help=_OUT_HELP)
+    _add_format(p, ("csv", "json"))
     p.set_defaults(func=_cmd_hist)
 
     p = verbs.add_parser("amplify", help="run a measurement sequence on a histogram")
@@ -361,19 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sample", type=int, default=0, metavar="K", help="draw K assignments"
     )
-    _add_common(p)
+    p.add_argument("--out", help=_OUT_HELP)
+    p.add_argument("--seed", type=int, default=0, help="rng seed for --sample")
     p.set_defaults(func=_cmd_amplify)
 
     p = verbs.add_parser("figures", help="regenerate the benchmark experiments")
     p.add_argument(
         "--experiment",
         default="all",
-        choices=[e for e in experiments.EXPERIMENT_IDS if e != "custom"] + ["custom", "all"],
+        choices=[*_PAPER_EXPERIMENTS, "custom", "all"],
     )
     p.add_argument("--graphs", help="comma-separated graph specs override")
     p.add_argument("--m-max", type=int, default=60)
     p.add_argument("--successes", type=int, default=10)
-    _add_common(p, default_out="out")
+    p.add_argument("--out", default="out", help=_OUT_HELP)
+    _add_format(p, FORMATS)
     p.set_defaults(func=_cmd_figures)
 
     p = verbs.add_parser("bounds", help="tail bounds from an observed all-ones run")
@@ -382,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-ref", required=True, help="reference angle, e.g. 2pi/3")
     p.add_argument("--p01", type=float, help="probability of the record 01")
     p.add_argument("--half-width", default="pi/4", help="band half-width angle")
-    _add_common(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = verbs.add_parser("twopeak", help="two-peak filter model statistics")
@@ -393,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-u", help="upper peak angle")
     p.add_argument("--measurements", type=int, default=1)
     p.add_argument("--target-ratio", type=parse_fraction)
-    _add_common(p)
     p.set_defaults(func=_cmd_twopeak)
 
     p = verbs.add_parser(
@@ -401,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--theta", help="angle for the gaussian tail estimate")
-    _add_common(p)
     p.set_defaults(func=_cmd_uniform_asymptotics)
 
     p = verbs.add_parser(
@@ -410,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-qubits", type=int, default=5)
     p.add_argument("--max-seq", type=int, default=6)
     p.add_argument("--sets", type=int, default=50)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="rng seed for the phase sets")
     p.set_defaults(func=_cmd_verify_oracle)
 
     p = verbs.add_parser("grid-table", help="headline numbers for one graph")
     p.add_argument("--grid", default="grid:4x4")
     p.add_argument("--successes", type=int, default=10)
-    _add_common(p)
+    p.add_argument("--out", help=_OUT_HELP)
     p.set_defaults(func=_cmd_grid_table)
 
     return parser

@@ -20,10 +20,9 @@ from .errors import (
     InvalidGraphError,
     InvalidParameterError,
     InvalidSizeError,
-    ResourceLimitError,
     UnsupportedSizeError,
 )
-from .graphs import ENUMERATION_LIMIT, Graph, ObjectiveKind, objective_value, objective_values
+from .graphs import Graph, ObjectiveKind, objective_value, objective_values, scored_assignments
 from .meta import SCHEMA_VERSION
 
 # Tolerance used whenever an external angle is compared against level positions.
@@ -31,8 +30,6 @@ ANGLE_ATOL = 1e-12
 
 # Assignment-level tables hold one entry per assignment; cap the memory.
 CLASS_TABLE_LIMIT = 20
-
-_CHUNK = 1 << 22
 
 
 def phase_of(g: Graph, objective: ObjectiveKind | str, x: int) -> float:
@@ -144,19 +141,12 @@ def build_histogram(
     information, and the dynamics start from the uniform state over the rest.
     Levels with zero count are kept so level index equals objective score.
     """
-    if g.n_vertices > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"histogram enumeration capped at {ENUMERATION_LIMIT} vertices, "
-            f"got {g.n_vertices}"
-        )
+    chunks = scored_assignments(g, objective, "histogram enumeration")
     if g.edge_count < 1:
         raise InvalidGraphError("phase encoding needs at least one edge")
     n_edges = g.edge_count
     counts = np.zeros(n_edges + 1, dtype=np.int64)
-    total = 1 << g.n_vertices
-    for start in range(0, total, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        vals = objective_values(g, objective, xs)
+    for _, vals in chunks:
         counts += np.bincount(vals, minlength=n_edges + 1)
     if not include_zero:
         counts[0] -= 1

@@ -13,8 +13,9 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -24,8 +25,6 @@ from .encoding import PhaseHistogram, build_histogram
 from .errors import InvalidParameterError, ResourceLimitError
 from .graphs import ObjectiveKind, parse_graph_spec
 from .meta import SCHEMA_VERSION, __version__
-
-EXPERIMENT_IDS = ("fig1a", "fig1b", "fig1c", "fig2", "fig3", "grid-table", "custom")
 
 FIG1A_GRAPHS = ("line:6", "line:8", "line:10", "line:12")
 FIG1BC_GRAPHS = ("line:10", "grid:3x3", "grid:4x4", "starring:16")
@@ -511,7 +510,125 @@ def emit_svg(
 
 
 # ---------------------------------------------------------------------------
-# Orchestration
+# Report output, shared with the command line
+
+FORMATS = ("csv", "json", "svg")
+
+
+def slug(label: str) -> str:
+    """File-name stem of a label: 'grid:4x4' -> 'grid_4x4'."""
+    return re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_")
+
+
+def json_text(doc: dict) -> str:
+    """The text of every JSON report: indented, and strict (no NaN or Infinity)."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def write_files(
+    out_dir: str | Path,
+    files: Iterable[tuple[str, Mapping[str, Callable[[], str]]]],
+    formats: Collection[str] | None = None,
+) -> list[Path]:
+    """Write ``(stem, {format: render})`` files in the selected formats (all when None).
+
+    Only the selected formats are rendered. Returns the paths in write order.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for stem, renders in files:
+        for fmt, render in renders.items():
+            if formats is None or fmt in formats:
+                path = out / f"{stem}.{fmt}"
+                path.write_text(render())
+                written.append(path)
+    return written
+
+
+def _data(report, head: dict) -> dict[str, Callable[[], str]]:
+    """CSV and JSON renderers of a report; ``head`` leads its JSON document."""
+    return {"csv": report.to_csv, "json": lambda: json_text({**head, **report.to_json_dict()})}
+
+
+def _bar_chart(name: str, xs, ys, title: str, ylabel: str) -> Callable[[], str]:
+    def chart() -> str:
+        bars = Series(name, tuple(map(float, xs)), tuple(map(float, ys)), kind="bar")
+        return emit_svg((bars,), title=title, xlabel="phase (rad)", ylabel=ylabel)
+
+    return chart
+
+
+def _trajectory_files(exp: str, reports: Mapping[str, RunReport], y_field: str, ylabel: str):
+    """CSV and JSON per graph, then one chart of ``y_field`` over all graphs."""
+
+    def chart() -> str:
+        series = tuple(
+            Series(
+                label,
+                tuple(float(r.m) for r in report.records),
+                tuple(float(getattr(r, y_field)) for r in report.records),
+            )
+            for label, report in reports.items()
+        )
+        return emit_svg(series, title=exp, xlabel="successful measurements", ylabel=ylabel)
+
+    data = [
+        (f"{exp}_{slug(label)}", _data(report, {"experiment": exp}))
+        for label, report in reports.items()
+    ]
+    return [*data, (exp, {"svg": chart})]
+
+
+def _fig2_files(exp: str, histograms: Mapping[str, PhaseHistogram]):
+    """CSV, JSON and a bar chart per graph."""
+    files = []
+    for label, h in histograms.items():
+        chart = _bar_chart(label, h.thetas, h.counts, f"fig2 {label}", "assignments per level")
+        head = {"experiment": exp, "graph": label}
+        files.append((f"fig2_{slug(label)}", {**_data(h, head), "svg": chart}))
+    return files
+
+
+def _fig3_files(exp: str, dist: AmplifiedDistribution):
+    name, title = f"{dist.label} after {dist.m} successes", f"fig3 {dist.label}"
+    ylabel = "count-scaled conditional weight"
+    chart = _bar_chart(name, dist.thetas, dist.scaled_weights, title, ylabel)
+    return [("fig3", {**_data(dist, {"experiment": exp}), "svg": chart})]
+
+
+def _grid_table_files(exp: str, table: GridTableReport):
+    return [("grid_table", {"json": lambda: json_text(table.to_json_dict()), "csv": table.to_csv})]
+
+
+def _first_spec(config: ExperimentConfig) -> str:
+    return (config.graph_specs or ("grid:4x4",))[0]
+
+
+_CONDITIONAL_OPTIMAL = partial(
+    _trajectory_files, y_field="p_optimal_conditional", ylabel="conditional optimal probability"
+)
+
+# Experiment id -> (builder of its reports from the config, the files they go to).
+_EXPERIMENTS = {
+    "fig1a": (lambda c: fig1a(c.graph_specs or FIG1A_GRAPHS, c.m_max), _CONDITIONAL_OPTIMAL),
+    "fig1b": (
+        lambda c: fig1b_fig1c(c.graph_specs or FIG1BC_GRAPHS, c.m_max),
+        partial(_trajectory_files, y_field="p_sequence", ylabel="sequence probability"),
+    ),
+    "fig1c": (
+        lambda c: fig1b_fig1c(c.graph_specs or FIG1BC_GRAPHS, c.m_max),
+        partial(
+            _trajectory_files, y_field="p_individual", ylabel="individual success probability"
+        ),
+    ),
+    "fig2": (lambda c: fig2(c.graph_specs or FIG2_GRAPHS), _fig2_files),
+    "fig3": (lambda c: fig3(_first_spec(c), c.successes), _fig3_files),
+    "grid-table": (lambda c: grid_table(_first_spec(c), c.successes), _grid_table_files),
+    "custom": (lambda c: _trajectories(c.graph_specs, c.m_max), _CONDITIONAL_OPTIMAL),
+}
+
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
 
 @dataclass(frozen=True)
@@ -523,8 +640,7 @@ class ExperimentConfig:
     m_max: int = 60
     successes: int = 10
     out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json", "svg")
-    seed: int = 0
+    formats: tuple[str, ...] = FORMATS
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
@@ -534,11 +650,10 @@ class ExperimentConfig:
         if self.m_max < 0 or self.successes < 0:
             raise InvalidParameterError("iteration range must be nonnegative")
         formats = tuple(dict.fromkeys(self.formats))
-        if not formats:
-            raise InvalidParameterError("at least one output format required")
-        unknown = [f for f in formats if f not in ("csv", "json", "svg")]
-        if unknown:
-            raise InvalidParameterError(f"unknown output formats: {unknown}")
+        if not formats or not set(formats) <= set(FORMATS):
+            raise InvalidParameterError(
+                f"output formats must be some of {FORMATS}, got {self.formats}"
+            )
         if self.experiment == "custom" and not self.graph_specs:
             raise InvalidParameterError("custom experiments need explicit graph specs")
         object.__setattr__(self, "formats", formats)
@@ -546,135 +661,7 @@ class ExperimentConfig:
             object.__setattr__(self, "graph_specs", tuple(self.graph_specs))
 
 
-def _slug(label: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_")
-
-
-def _write(path: Path, text: str, written: list[Path]) -> None:
-    path.write_text(text)
-    written.append(path)
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _write_trajectories(
-    exp: str,
-    reports: Mapping[str, RunReport],
-    y_field: str,
-    ylabel: str,
-    config: ExperimentConfig,
-    out: Path,
-    written: list[Path],
-) -> None:
-    for label, report in reports.items():
-        if "csv" in config.formats:
-            _write(out / f"{exp}_{_slug(label)}.csv", report.to_csv(), written)
-        if "json" in config.formats:
-            doc = {"experiment": exp, **report.to_json_dict()}
-            _write(out / f"{exp}_{_slug(label)}.json", _json_text(doc), written)
-    if "svg" in config.formats:
-        series = tuple(
-            Series(
-                label,
-                tuple(float(r.m) for r in report.records),
-                tuple(float(getattr(r, y_field)) for r in report.records),
-            )
-            for label, report in reports.items()
-        )
-        _write(
-            out / f"{exp}.svg",
-            emit_svg(series, title=exp, xlabel="successful measurements", ylabel=ylabel),
-            written,
-        )
-
-
 def run_experiment(config: ExperimentConfig) -> list[Path]:
-    """Regenerate one experiment; returns the files written."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    exp = config.experiment
-    if exp == "fig1a":
-        reports = fig1a(config.graph_specs or FIG1A_GRAPHS, config.m_max)
-        _write_trajectories(
-            exp, reports, "p_optimal_conditional", "conditional optimal probability",
-            config, out, written,
-        )
-    elif exp in ("fig1b", "fig1c", "custom"):
-        if exp == "custom":
-            reports = _trajectories(config.graph_specs, config.m_max)
-        else:
-            reports = fig1b_fig1c(config.graph_specs or FIG1BC_GRAPHS, config.m_max)
-        y_field, ylabel = (
-            ("p_sequence", "sequence probability")
-            if exp == "fig1b"
-            else ("p_individual", "individual success probability")
-        )
-        if exp == "custom":
-            y_field, ylabel = "p_optimal_conditional", "conditional optimal probability"
-        _write_trajectories(exp, reports, y_field, ylabel, config, out, written)
-    elif exp == "fig2":
-        histograms = fig2(config.graph_specs or FIG2_GRAPHS)
-        for label, h in histograms.items():
-            slug = _slug(label)
-            if "csv" in config.formats:
-                _write(out / f"fig2_{slug}.csv", h.to_csv(), written)
-            if "json" in config.formats:
-                doc = {"experiment": exp, "graph": label, **h.to_json_dict()}
-                _write(out / f"fig2_{slug}.json", _json_text(doc), written)
-            if "svg" in config.formats:
-                series = (
-                    Series(
-                        label,
-                        tuple(float(t) for t in h.thetas),
-                        tuple(float(c) for c in h.counts),
-                        kind="bar",
-                    ),
-                )
-                _write(
-                    out / f"fig2_{slug}.svg",
-                    emit_svg(
-                        series,
-                        title=f"fig2 {label}",
-                        xlabel="phase (rad)",
-                        ylabel="assignments per level",
-                    ),
-                    written,
-                )
-    elif exp == "fig3":
-        spec = (config.graph_specs or ("grid:4x4",))[0]
-        dist = fig3(spec, config.successes)
-        if "csv" in config.formats:
-            _write(out / "fig3.csv", dist.to_csv(), written)
-        if "json" in config.formats:
-            doc = {"experiment": exp, **dist.to_json_dict()}
-            _write(out / "fig3.json", _json_text(doc), written)
-        if "svg" in config.formats:
-            series = (
-                Series(
-                    f"{spec} after {dist.m} successes",
-                    tuple(float(t) for t in dist.thetas),
-                    tuple(float(w) for w in dist.scaled_weights),
-                    kind="bar",
-                ),
-            )
-            _write(
-                out / "fig3.svg",
-                emit_svg(
-                    series,
-                    title=f"fig3 {spec}",
-                    xlabel="phase (rad)",
-                    ylabel="count-scaled conditional weight",
-                ),
-                written,
-            )
-    elif exp == "grid-table":
-        spec = (config.graph_specs or ("grid:4x4",))[0]
-        table = grid_table(spec, config.successes)
-        if "json" in config.formats:
-            _write(out / "grid_table.json", _json_text(table.to_json_dict()), written)
-        if "csv" in config.formats:
-            _write(out / "grid_table.csv", table.to_csv(), written)
-    return written
+    """Regenerate one experiment; returns the files written, in write order."""
+    build, files = _EXPERIMENTS[config.experiment]
+    return write_files(config.out_dir, files(config.experiment, build(config)), config.formats)

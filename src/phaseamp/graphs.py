@@ -11,7 +11,7 @@ import enum
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -160,19 +160,28 @@ def objective_values(
     return out
 
 
-def brute_force_optima(g: Graph, objective: ObjectiveKind | str) -> tuple[int, list[int]]:
-    """Exhaustively scan all assignments; returns (best value, maximizers)."""
+def scored_assignments(
+    g: Graph, objective: ObjectiveKind | str, task: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every assignment of ``g`` with its score, in chunks of at most 2**22.
+
+    The vertex cap is checked at the call; ``task`` names the caller in its message.
+    """
     if g.n_vertices > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"exhaustive search capped at {ENUMERATION_LIMIT} vertices, "
-            f"got {g.n_vertices}"
+            f"{task} capped at {ENUMERATION_LIMIT} vertices, got {g.n_vertices}"
         )
+    total = 1 << g.n_vertices
+    starts = range(0, total, _CHUNK)
+    chunks = (np.arange(s, min(s + _CHUNK, total), dtype=np.uint32) for s in starts)
+    return ((xs, objective_values(g, objective, xs)) for xs in chunks)
+
+
+def brute_force_optima(g: Graph, objective: ObjectiveKind | str) -> tuple[int, list[int]]:
+    """Exhaustively scan all assignments; returns (best value, maximizers)."""
     best = -1
     maximizers: list[int] = []
-    total = 1 << g.n_vertices
-    for start in range(0, total, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        vals = objective_values(g, objective, xs)
+    for xs, vals in scored_assignments(g, objective, "exhaustive search"):
         chunk_best = int(vals.max())
         if chunk_best > best:
             best = chunk_best

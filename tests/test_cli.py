@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from phaseamp.cli import main, parse_angle, parse_fraction
+from phaseamp import fullsim
+from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
+from phaseamp.encoding import CLASS_TABLE_LIMIT
 from phaseamp.errors import InvalidParameterError
+from phaseamp.experiments import TRAJECTORY_VERTEX_LIMIT
+from phaseamp.graphs import ENUMERATION_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +49,11 @@ class TestParsers:
     def test_parse_angle_rejects_garbage(self):
         with pytest.raises(InvalidParameterError):
             parse_angle("tau/2")
+
+    @pytest.mark.parametrize("text", ["pi/0", "3pi/0.0", "nan", "inf", "-inf", "1e400"])
+    def test_parse_angle_rejects_zero_divisor_and_nonfinite(self, text):
+        with pytest.raises(InvalidParameterError):
+            parse_angle(text)
 
     def test_parse_fraction(self):
         from fractions import Fraction
@@ -121,6 +132,13 @@ class TestHistVerb:
         assert (tmp_path / "hist_line_4.json").exists()
         csv_text = (tmp_path / "hist_line_4.csv").read_text()
         assert csv_text.startswith("theta,count\n")
+
+    def test_default_formats(self, capsys, tmp_path):
+        run_json(capsys, "hist", "--graph", "line:4", "--out", str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hist_line_4.csv",
+            "hist_line_4.json",
+        ]
 
     def test_source_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -266,6 +284,42 @@ class TestFiguresVerb:
         assert "fig2_line_12.json" in names
         assert "fig3.json" in names
         assert "grid_table.json" in names
+
+    def test_all_experiments_write_order(self, capsys, tmp_path):
+        doc = run_json(
+            capsys,
+            "figures",
+            "--experiment",
+            "all",
+            "--m-max",
+            "2",
+            "--successes",
+            "1",
+            "--out",
+            str(tmp_path),
+        )
+        assert [Path(name).name for name in doc["written"]] == [
+            "fig1a_line_6.csv", "fig1a_line_6.json",
+            "fig1a_line_8.csv", "fig1a_line_8.json",
+            "fig1a_line_10.csv", "fig1a_line_10.json",
+            "fig1a_line_12.csv", "fig1a_line_12.json",
+            "fig1a.svg",
+            "fig1b_line_10.csv", "fig1b_line_10.json",
+            "fig1b_grid_3x3.csv", "fig1b_grid_3x3.json",
+            "fig1b_grid_4x4.csv", "fig1b_grid_4x4.json",
+            "fig1b_starring_16.csv", "fig1b_starring_16.json",
+            "fig1b.svg",
+            "fig1c_line_10.csv", "fig1c_line_10.json",
+            "fig1c_grid_3x3.csv", "fig1c_grid_3x3.json",
+            "fig1c_grid_4x4.csv", "fig1c_grid_4x4.json",
+            "fig1c_starring_16.csv", "fig1c_starring_16.json",
+            "fig1c.svg",
+            "fig2_line_12.csv", "fig2_line_12.json", "fig2_line_12.svg",
+            "fig2_grid_4x4.csv", "fig2_grid_4x4.json", "fig2_grid_4x4.svg",
+            "fig2_starring_16.csv", "fig2_starring_16.json", "fig2_starring_16.svg",
+            "fig3.csv", "fig3.json", "fig3.svg",
+            "grid_table.json", "grid_table.csv",
+        ]
 
     def test_custom_with_graphs(self, capsys, tmp_path):
         doc = run_json(
@@ -455,6 +509,70 @@ class TestGridTableVerb:
         assert (tmp_path / "grid_table.json").exists()
 
 
+# A valid invocation of each verb, without output or seed flags.
+MINIMAL_ARGV = {
+    "graph": ["line:3"],
+    "hist": ["--graph", "line:3"],
+    "amplify": ["--graph", "line:3", "--successes", "1"],
+    "figures": ["--experiment", "fig3"],
+    "bounds": ["--p-run", "0.5", "--m", "1", "--theta-ref", "pi/2"],
+    "twopeak": ["--q-u", "1/8", "--a-l", "1/8", "--a-u", "2"],
+    "uniform-asymptotics": ["--m", "4"],
+    "verify-oracle": [],
+    "grid-table": [],
+}
+FLAGS_READ = {
+    ("graph", "--out"),
+    ("hist", "--out"),
+    ("hist", "--format"),
+    ("amplify", "--out"),
+    ("amplify", "--seed"),
+    ("figures", "--out"),
+    ("figures", "--format"),
+    ("verify-oracle", "--seed"),
+    ("grid-table", "--out"),
+}
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("flag,value", [("--out", "d"), ("--format", "json"), ("--seed", "3")])
+    @pytest.mark.parametrize("verb", MINIMAL_ARGV)
+    def test_verbs_take_only_the_flags_they_read(self, verb, flag, value):
+        argv = [verb, *MINIMAL_ARGV[verb], flag, value]
+        if (verb, flag) in FLAGS_READ:
+            build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "verb,formats",
+        [("hist", "svg"), ("hist", "png"), ("hist", ","), ("figures", "csv,pdf")],
+    )
+    def test_unwritable_format_is_exit_2(self, capsys, tmp_path, verb, formats):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *MINIMAL_ARGV[verb], "--out", str(out), "--format", formats])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--p-run", "0.5", "--m", "1", "--theta-ref", "pi/0"],
+            ["amplify", "--graph", "line:4", "--successes", "2", "--tail-at", "nan"],
+            ["amplify", "--graph", "line:4", "--successes", "2", "--tail-at", "inf"],
+        ],
+    )
+    def test_bad_angle_is_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -471,3 +589,22 @@ class TestTopLevel:
         code, _, err = run_cli(capsys, "hist", "--graph", "line:40")
         assert code == 3
         assert "error:" in err
+
+    def test_readme_states_the_size_caps(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = " ".join(readme.read_text().split())
+        caps = re.search(
+            r"histograms and optima enumerate graphs of at most (\d+) vertices, "
+            r"class tables and assignment sampling at most (\d+), "
+            r"trajectory experiments at most (\d+); "
+            r"the dense oracle is capped at N=(\d+) / (\d+) measurements",
+            text,
+        )
+        assert caps is not None
+        assert tuple(int(v) for v in caps.groups()) == (
+            ENUMERATION_LIMIT,
+            CLASS_TABLE_LIMIT,
+            TRAJECTORY_VERTEX_LIMIT,
+            fullsim.MAX_SUPPORT,
+            fullsim.MAX_SEQUENCE,
+        )

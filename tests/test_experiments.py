@@ -32,6 +32,7 @@ from phaseamp import (
     success_trajectory,
     MeasurementSequence,
 )
+from phaseamp.experiments import json_text, slug, write_files
 
 
 class TestSuccessTrajectory:
@@ -342,3 +343,30 @@ class TestRunExperiment:
         first = {p.name: p.read_bytes() for p in run_experiment(config)}
         second = {p.name: p.read_bytes() for p in run_experiment(config)}
         assert first == second
+
+
+class TestReportOutput:
+    def test_slug(self):
+        assert slug("grid:4x4") == "grid_4x4"
+        assert slug("  Star-Ring:16 ") == "star_ring_16"
+
+    def test_json_text_is_strict(self):
+        assert json_text({"a": 1.5, "b": [1]}) == '{\n  "a": 1.5,\n  "b": [\n    1\n  ]\n}\n'
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                json_text({"a": bad})
+
+    def test_write_files_renders_only_selected_formats(self, tmp_path):
+        rendered = []
+
+        def render(name):
+            return lambda: rendered.append(name) or name
+
+        files = [
+            ("a", {"csv": render("a.csv"), "svg": render("a.svg")}),
+            ("b", {"json": render("b.json"), "csv": render("b.csv")}),
+        ]
+        written = write_files(tmp_path, files, ("json", "csv"))
+        assert [p.name for p in written] == ["a.csv", "b.json", "b.csv"]
+        assert rendered == ["a.csv", "b.json", "b.csv"]
+        assert (tmp_path / "b.json").read_text() == "b.json"

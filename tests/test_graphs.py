@@ -25,6 +25,7 @@ from phaseamp import (
     read_graph_file,
     write_graph_file,
 )
+from phaseamp.graphs import scored_assignments
 
 from .oracles import ref_objective, ref_optima
 
@@ -171,6 +172,23 @@ class TestBruteForce:
         g = Graph(29, tuple((i, i + 1) for i in range(28)))
         with pytest.raises(ResourceLimitError):
             brute_force_optima(g, ObjectiveKind.MAXCUT)
+
+
+class TestScoredAssignments:
+    def test_covers_every_assignment_once(self):
+        g = make_grid(2, 3)
+        chunks = list(scored_assignments(g, ObjectiveKind.MAXCUT, "test scan"))
+        xs = np.concatenate([xs for xs, _ in chunks])
+        vals = np.concatenate([vals for _, vals in chunks])
+        assert xs.tolist() == list(range(1 << 6))
+        assert vals.tolist() == [
+            ref_objective("maxcut", 6, g.edges, x) for x in range(1 << 6)
+        ]
+
+    def test_cap_is_checked_at_the_call(self):
+        g = Graph(29, tuple((i, i + 1) for i in range(28)))
+        with pytest.raises(ResourceLimitError, match="test scan capped at 28 vertices"):
+            scored_assignments(g, ObjectiveKind.MAXCUT, "test scan")
 
 
 class TestObjectiveKind:
