@@ -66,20 +66,20 @@ class MeasurementSequence:
         """Number of recorded ones."""
         return sum(self.outcomes)
 
-    def appended(self, outcome: int) -> "MeasurementSequence":
-        return MeasurementSequence(self.outcomes + (int(outcome),))
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.outcomes)
 
 
 @dataclass(frozen=True)
 class ClassState:
-    """Conditional level weights after a recorded sequence of outcomes."""
+    """Conditional level weights after a recorded sequence of outcomes.
+
+    The outcomes themselves are not kept: the weights and the running log
+    probability are all that later steps and every observable read.
+    """
 
     histogram: PhaseHistogram
     weights: np.ndarray
-    history: MeasurementSequence
     log_sequence_probability: float
 
     def __post_init__(self) -> None:
@@ -99,13 +99,13 @@ class ClassState:
 
     @property
     def probability(self) -> float:
-        """Joint probability of the recorded history."""
+        """Joint probability of the recorded outcomes."""
         return math.exp(self.log_sequence_probability)
 
 
 def initial_state(h: PhaseHistogram) -> ClassState:
     """Uniform state over the support, before any measurement."""
-    return ClassState(h, h.counts / h.support, MeasurementSequence(), 0.0)
+    return ClassState(h, h.counts / h.support, 0.0)
 
 
 def _branch_factors(h: PhaseHistogram, outcome: int) -> np.ndarray:
@@ -136,14 +136,9 @@ def step(state: ClassState, outcome: int) -> tuple[ClassState, float]:
     p = float(raw.sum())
     if p <= 0.0:
         raise ImpossibleOutcomeError(
-            f"outcome {outcome} has probability 0 after '{state.history}'"
+            f"outcome {outcome} has probability 0 given the outcomes recorded so far"
         )
-    new = ClassState(
-        state.histogram,
-        raw / p,
-        state.history.appended(outcome),
-        state.log_sequence_probability + math.log(p),
-    )
+    new = ClassState(state.histogram, raw / p, state.log_sequence_probability + math.log(p))
     return new, p
 
 
@@ -168,10 +163,29 @@ def moment_sum(h: PhaseHistogram, q: int, r: int) -> float:
     return float(np.sum(h.counts * (1.0 - c) ** q * (1.0 + c) ** r))
 
 
+def _scaled_log1p(exponent: int, x: np.ndarray) -> np.ndarray:
+    """``exponent * log(1 + x)``, taking ``0 * log 0`` as 0."""
+    if exponent == 0:
+        return np.zeros_like(x)
+    with np.errstate(divide="ignore"):
+        return exponent * np.log1p(x)
+
+
 def sequence_probability(h: PhaseHistogram, y: MeasurementSequence) -> float:
-    """Closed-form p(y); depends on the sequence only through (ones, length)."""
-    q = y.q
-    return moment_sum(h, q, y.m - q) / (2.0 ** y.m * h.support)
+    """Closed-form p(y); depends on the sequence only through (ones, length).
+
+    The sum runs in log space (a log-sum-exp over the occupied levels), so
+    neither ``2^m`` nor the moments overflow or underflow on long records.
+    """
+    q, r = y.q, y.m - y.q
+    live = h.counts > 0
+    c = np.cos(h.thetas[live])
+    log_terms = np.log(h.counts[live]) + _scaled_log1p(q, -c) + _scaled_log1p(r, c)
+    top = float(log_terms.max())
+    if top == -math.inf:
+        return 0.0
+    log_moment = top + math.log(float(np.exp(log_terms - top).sum()))
+    return math.exp(log_moment - y.m * math.log(2.0) - math.log(h.support))
 
 
 def tail_probability(state: ClassState, theta: float) -> float:
@@ -181,7 +195,7 @@ def tail_probability(state: ClassState, theta: float) -> float:
 
 
 def unconditional_tail_probability(state: ClassState, theta: float) -> float:
-    """Joint probability of the recorded history and a level at >= theta."""
+    """Joint probability of the recorded outcomes and a level at >= theta."""
     return state.probability * tail_probability(state, theta)
 
 

@@ -260,10 +260,13 @@ def bound_from_success_run(p_run: float, m: int, theta_ref: float) -> TailBounds
         raise InvalidParameterError("reference angle must lie strictly inside (0, pi)")
     if not 0.0 <= p_run <= 1.0:
         raise InvalidParameterError("run probability must lie in [0, 1]")
-    gain = (1.0 - math.cos(theta_ref)) ** m
-    scaled = 2.0**m * p_run
-    lower = max(0.0, (scaled - gain) / (2.0**m - gain))
-    upper = min(1.0, scaled / gain)
+    # Run factor of a level at theta_ref; at most 1, so nothing overflows.
+    g = ((1.0 - math.cos(theta_ref)) / 2.0) ** m
+    lower = max(0.0, (p_run - g) / (1.0 - g)) if g < 1.0 else 0.0
+    if g > 0.0:
+        upper = min(1.0, p_run / g)
+    else:  # g underflowed: only an impossible run says anything about the tail
+        upper = 1.0 if p_run > 0.0 else 0.0
     return TailBounds(lower, upper)
 
 

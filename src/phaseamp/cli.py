@@ -127,13 +127,15 @@ def _cmd_hist(args: argparse.Namespace) -> int:
 
 
 def _cmd_amplify(args: argparse.Namespace) -> int:
-    h, label = _histogram_for(args)
+    if args.sample < 0:
+        raise InvalidParameterError("--sample must be nonnegative")
     if args.sequence is not None:
         y = amplifier.MeasurementSequence.from_string(args.sequence)
     else:
         y = amplifier.MeasurementSequence.successes(args.successes)
-    state, probability = amplifier.run_sequence(h, y)
     theta = parse_angle(args.tail_at)
+    h, label = _histogram_for(args)
+    state, probability = amplifier.run_sequence(h, y)
     doc = {
         "schema": SCHEMA_VERSION,
         "graph": label,
@@ -266,9 +268,11 @@ def _cmd_uniform_asymptotics(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_oracle(args: argparse.Namespace) -> int:
+    # Any size past the cap is refused alike, so 2^max_qubits need not be built.
+    qubits = min(args.max_qubits, fullsim.MAX_SUPPORT.bit_length())
     report = fullsim.compare_with_class_weights(
         n_phase_sets=args.sets,
-        max_support=1 << args.max_qubits,
+        max_support=1 << qubits,
         max_sequence=args.max_seq,
         seed=args.seed,
     )
@@ -431,3 +435,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -163,6 +163,8 @@ def compare_with_class_weights(
     """
     if n_phase_sets < 1 or max_support < 1:
         raise InvalidParameterError("need at least one phase set and one assignment")
+    if max_support > MAX_SUPPORT:
+        raise ResourceLimitError(f"dense simulation capped at {MAX_SUPPORT} assignments")
     if max_sequence > MAX_SEQUENCE:
         raise ResourceLimitError(f"dense simulation capped at {MAX_SEQUENCE} outcomes")
     gen = np.random.default_rng(seed)

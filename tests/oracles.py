@@ -76,6 +76,30 @@ def ref_sequence_probability(thetas, counts, outcomes) -> float:
     return math.fsum(terms) / support
 
 
+def ref_log_sequence_probability(thetas, counts, q: int, m: int) -> float:
+    """Log of the closed form for q ones among m outcomes, term by term in logs.
+
+    Each occupied level contributes log(count) + q log(1 - cos) + (m - q)
+    log(1 + cos); the terms are combined with a max-shifted sum, so long
+    records neither overflow 2^m nor underflow the per-level products.
+    """
+    logs = []
+    for theta, count in zip(thetas, counts):
+        c = math.cos(theta)
+        if count == 0 or (q and c == 1.0) or (m - q and c == -1.0):
+            continue
+        term = math.log(int(count))
+        if q:
+            term += q * math.log(1.0 - c)
+        if m - q:
+            term += (m - q) * math.log(1.0 + c)
+        logs.append(term)
+    top = max(logs)
+    support = sum(int(c) for c in counts)
+    shifted = math.fsum(math.exp(t - top) for t in logs)
+    return top + math.log(shifted) - m * math.log(2.0) - math.log(support)
+
+
 def ref_conditional_weights(thetas, counts, outcomes) -> list[float]:
     """Per-level weights after conditioning on the full outcome record."""
     raw = []

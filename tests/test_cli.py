@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import runpy
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -28,6 +30,15 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_json(text: str):
+    """Parse JSON that has no NaN or Infinity in it."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestParsers:
@@ -232,6 +243,21 @@ class TestAmplifyVerb:
         code, _, _ = run_cli(capsys, "amplify", "--graph", "line:4", "--sequence", "10x")
         assert code == 2
 
+    def test_record_past_float_range_of_2_to_the_m(self, capsys):
+        code, out, err = run_cli(capsys, "amplify", "--graph", "grid:4x4", "--successes", "1100")
+        assert code == 0, err
+        doc = strict_json(out)
+        assert doc["closed_form_probability"] == pytest.approx(doc["probability"], rel=1e-12)
+
+    def test_negative_sample_is_exit_2_before_any_work(self, capsys):
+        # line:40 is past every enumeration cap, so reaching it would be exit 3.
+        code, out, err = run_cli(
+            capsys, "amplify", "--graph", "line:40", "--successes", "1", "--sample", "-4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--sample" in err
+
     def test_writes_report(self, capsys, tmp_path):
         run_json(
             capsys,
@@ -389,6 +415,21 @@ class TestBoundsVerb:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "p_run,m,theta_ref",
+        [
+            ("1e-320", "3000", "pi/2"),  # 2^m overflows a float
+            ("0.1", "200", "0.01"),  # the run factor of the reference level underflows
+        ],
+    )
+    def test_extreme_runs_stay_in_range(self, capsys, p_run, m, theta_ref):
+        code, out, err = run_cli(
+            capsys, "bounds", "--p-run", p_run, "--m", m, "--theta-ref", theta_ref
+        )
+        assert code == 0, err
+        doc = strict_json(out)
+        assert 0.0 <= doc["tail_lower_bound"] <= doc["tail_upper_bound"] <= 1.0
+
 
 class TestTwopeakVerb:
     def test_exact_report(self, capsys):
@@ -496,6 +537,14 @@ class TestVerifyOracleVerb:
         assert doc["max_distribution_deviation"] < 1e-10
 
 
+    @pytest.mark.parametrize("qubits", ["11", "1000000"])
+    def test_support_past_the_cap_is_exit_3(self, capsys, qubits):
+        code, out, err = run_cli(capsys, "verify-oracle", "--max-qubits", qubits)
+        assert code == 3
+        assert out == ""
+        assert "capped" in err
+
+
 class TestGridTableVerb:
     def test_report(self, capsys, tmp_path):
         doc = run_json(
@@ -584,6 +633,15 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+    def test_runs_as_a_module(self, capsys, monkeypatch):
+        argv = ["phase-amp", "bounds", "--p-run", "0.375", "--m", "2", "--theta-ref", "2pi/3"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("phaseamp.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert strict_json(capsys.readouterr().out)["m"] == 2
 
     def test_resource_limit_is_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "hist", "--graph", "line:40")

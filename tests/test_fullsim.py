@@ -21,6 +21,7 @@ from phaseamp import (
     run_sequence,
     run_sequence_fullsim,
 )
+from phaseamp.fullsim import MAX_SUPPORT
 
 
 class TestPrepare:
@@ -137,6 +138,14 @@ class TestOracleComparison:
     def test_rejects_overlong_sequences(self):
         with pytest.raises(ResourceLimitError):
             compare_with_class_weights(max_sequence=9)
+
+    def test_rejects_oversized_support_before_drawing(self):
+        # Refused up front, whatever support sizes the seed would draw.
+        for seed in range(5):
+            with pytest.raises(ResourceLimitError):
+                compare_with_class_weights(
+                    n_phase_sets=1, max_support=MAX_SUPPORT + 1, max_sequence=0, seed=seed
+                )
 
     def test_rejects_empty_plan(self):
         with pytest.raises(InvalidParameterError):
