@@ -155,14 +155,6 @@ def success_run(h: PhaseHistogram, m: int) -> tuple[ClassState, float]:
     return run_sequence(h, MeasurementSequence.successes(m))
 
 
-def moment_sum(h: PhaseHistogram, q: int, r: int) -> float:
-    """Support sum of (1 - cos theta)^q (1 + cos theta)^r, weighted by counts."""
-    if q < 0 or r < 0:
-        raise InvalidParameterError("moment orders must be nonnegative")
-    c = np.cos(h.thetas)
-    return float(np.sum(h.counts * (1.0 - c) ** q * (1.0 + c) ** r))
-
-
 def _scaled_log1p(exponent: int, x: np.ndarray) -> np.ndarray:
     """``exponent * log(1 + x)``, taking ``0 * log 0`` as 0."""
     if exponent == 0:
@@ -190,8 +182,7 @@ def sequence_probability(h: PhaseHistogram, y: MeasurementSequence) -> float:
 
 def tail_probability(state: ClassState, theta: float) -> float:
     """Conditional probability of the levels at angles >= theta."""
-    mask = state.histogram.thetas >= theta - ANGLE_ATOL
-    return float(state.weights[mask].sum())
+    return float(state.weights[state.histogram.tail_levels(theta)].sum())
 
 
 def unconditional_tail_probability(state: ClassState, theta: float) -> float:

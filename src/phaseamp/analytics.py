@@ -160,10 +160,23 @@ class TwoPeakStats:
     run_probability_via_ratio: Optional[Number]
 
 
+def _log_peak_mass(share: Number, gain: Number, steps: int) -> float:
+    """``log(share * (gain / 2)**steps)``, -inf once the run has emptied the peak."""
+    if steps and not gain:
+        return -math.inf
+    return math.log(share) + (steps * math.log(gain / 2) if steps else 0.0)
+
+
 def two_peak_stats(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
-    """Upper/lower mass ratio and run probability after all-ones measurements."""
+    """Upper/lower mass ratio and run probability after all-ones measurements.
+
+    Exact shares and gains stay exact; any float input is evaluated in log
+    space, so long runs neither overflow the gains nor underflow the peaks.
+    """
     if measurements < 0:
         raise InvalidParameterError("measurement count must be nonnegative")
+    if not all(isinstance(v, (int, Fraction)) for v in (model.q_u, model.a_l, model.a_u)):
+        return _two_peak_stats_log(model, measurements)
     upper = model.q_u * model.a_u**measurements
     lower = model.q_l * model.a_l**measurements
     run_probability = (lower + upper) / 2**measurements
@@ -173,6 +186,19 @@ def two_peak_stats(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
     ratio = upper / lower
     via_ratio = (model.a_l**measurements * model.q_l / 2**measurements) * (1 + ratio)
     return TwoPeakStats(measurements, ratio, p_upper, run_probability, via_ratio)
+
+
+def _two_peak_stats_log(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
+    upper = _log_peak_mass(model.q_u, model.a_u, measurements)
+    lower = _log_peak_mass(model.q_l, model.a_l, measurements)
+    log_run = max(upper, lower) + math.log1p(math.exp(-abs(upper - lower)))
+    try:
+        ratio = math.exp(upper - lower)
+    except OverflowError:
+        ratio = math.inf
+    via_ratio = None if ratio == math.inf else math.exp(lower + math.log1p(ratio))
+    p_upper = math.exp(upper - log_run)
+    return TwoPeakStats(measurements, ratio, p_upper, math.exp(log_run), via_ratio)
 
 
 def two_peak_required_measurements(model: TwoPeakModel, target_ratio: Number) -> float:
@@ -315,7 +341,7 @@ def sampling_comparison(h: PhaseHistogram, theta: float, m: int) -> SamplingComp
     """Compare an m-step all-ones run against direct sampling for the tail at theta."""
     if m < 0:
         raise InvalidParameterError("run length must be nonnegative")
-    mask = h.thetas >= theta - ANGLE_ATOL
+    mask = h.tail_levels(theta)
     counts = h.counts[mask]
     cosines = np.cos(h.thetas[mask])
     support = h.support

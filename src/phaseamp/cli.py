@@ -20,7 +20,7 @@ import numpy as np
 
 from . import amplifier, analytics, experiments, fullsim
 from .encoding import build_class_table, build_histogram, uniform_histogram
-from .errors import InvalidParameterError, PhaseAmpError
+from .errors import LIMITS, InvalidParameterError, PhaseAmpError, check_limit
 from .experiments import FORMATS, json_text, slug, write_files
 from .graphs import (
     ObjectiveKind,
@@ -134,6 +134,11 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
     else:
         y = amplifier.MeasurementSequence.successes(args.successes)
     theta = parse_angle(args.tail_at)
+    if args.sample:
+        if args.graph is None:
+            raise InvalidParameterError("assignment sampling needs a graph source")
+        graph = parse_graph_spec(args.graph)
+        check_limit("class_table", graph.n_vertices, "class tables")
     h, label = _histogram_for(args)
     state, probability = amplifier.run_sequence(h, y)
     doc = {
@@ -154,12 +159,8 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
         },
     }
     if args.sample:
-        if args.graph is None:
-            raise InvalidParameterError("assignment sampling needs a graph source")
-        graph = parse_graph_spec(args.graph)
-        table = build_class_table(
-            graph, ObjectiveKind.parse(args.objective), include_zero=args.include_zero
-        )
+        objective = ObjectiveKind.parse(args.objective)
+        table = build_class_table(graph, objective, include_zero=args.include_zero)
         rng = np.random.default_rng(args.seed)
         doc["samples"] = [
             amplifier.sample_assignment(state, table, rng) for _ in range(args.sample)
@@ -268,8 +269,12 @@ def _cmd_uniform_asymptotics(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_oracle(args: argparse.Namespace) -> int:
+    if args.max_qubits < 1:
+        raise InvalidParameterError(f"--max-qubits must be at least 1, got {args.max_qubits}")
+    if args.max_seq < 0:
+        raise InvalidParameterError(f"--max-seq must be nonnegative, got {args.max_seq}")
     # Any size past the cap is refused alike, so 2^max_qubits need not be built.
-    qubits = min(args.max_qubits, fullsim.MAX_SUPPORT.bit_length())
+    qubits = min(args.max_qubits, LIMITS["dense_support"][0].bit_length())
     report = fullsim.compare_with_class_weights(
         n_phase_sets=args.sets,
         max_support=1 << qubits,

@@ -16,20 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidGraphError,
-    InvalidParameterError,
-    InvalidSizeError,
-    UnsupportedSizeError,
-)
-from .graphs import Graph, ObjectiveKind, objective_value, objective_values, scored_assignments
+from .errors import InvalidGraphError, InvalidParameterError, InvalidSizeError, check_limit
+from .graphs import Graph, ObjectiveKind, objective_value, scored_assignments
 from .meta import SCHEMA_VERSION
 
 # Tolerance used whenever an external angle is compared against level positions.
 ANGLE_ATOL = 1e-12
-
-# Assignment-level tables hold one entry per assignment; cap the memory.
-CLASS_TABLE_LIMIT = 20
 
 
 def phase_of(g: Graph, objective: ObjectiveKind | str, x: int) -> float:
@@ -93,10 +85,13 @@ class PhaseHistogram:
         """Counts normalized to a probability vector."""
         return self.counts / self.support
 
+    def tail_levels(self, theta: float) -> np.ndarray:
+        """Mask of the levels at angles >= theta (tolerant at boundaries)."""
+        return self.thetas >= theta - ANGLE_ATOL
+
     def tail_mass(self, theta: float) -> float:
         """Fraction of the support at angles >= theta (tolerant at boundaries)."""
-        mask = self.thetas >= theta - ANGLE_ATOL
-        return float(self.counts[mask].sum() / self.support)
+        return float(self.counts[self.tail_levels(theta)].sum() / self.support)
 
     def band_mass(self, half_width: float) -> float:
         """Fraction of the support with |theta - pi/2| <= half_width."""
@@ -271,12 +266,9 @@ def build_class_table(
     g: Graph, objective: ObjectiveKind | str, include_zero: bool = False
 ) -> ClassTable:
     """Materialize the level of every assignment of ``g``."""
-    if g.n_vertices > CLASS_TABLE_LIMIT:
-        raise UnsupportedSizeError(
-            f"class tables capped at {CLASS_TABLE_LIMIT} vertices, got {g.n_vertices}"
-        )
+    check_limit("class_table", g.n_vertices, "class tables")
     if g.edge_count < 1:
         raise InvalidGraphError("phase encoding needs at least one edge")
-    xs = np.arange(1 << g.n_vertices, dtype=np.uint32)
-    levels = objective_values(g, objective, xs)
+    chunks = scored_assignments(g, objective, "class tables")
+    levels = np.concatenate([vals for _, vals in chunks], dtype=np.int32)
     return ClassTable(levels, g.edge_count + 1, include_zero)

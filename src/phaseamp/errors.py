@@ -37,8 +37,21 @@ class ResourceLimitError(PhaseAmpError):
     exit_code = 3
 
 
-class UnsupportedSizeError(ResourceLimitError):
-    """Assignment-level tables are disabled for graphs this large."""
+# Every size cap, by budget: (cap, unit). Enumeration costs 2^n time, a class
+# table 12 bytes per assignment, the dense oracle 2N amplitudes per record.
+LIMITS = {
+    "enumeration": (28, "vertices"),
+    "class_table": (20, "vertices"),
+    "dense_support": (1024, "assignments"),
+    "dense_sequence": (8, "outcomes"),
+}
+
+
+def check_limit(budget: str, value: int, task: str) -> None:
+    """Refuse ``value`` past the cap of ``budget``; ``task`` names the caller."""
+    cap, unit = LIMITS[budget]
+    if value > cap:
+        raise ResourceLimitError(f"{task} capped at {cap} {unit}, got {value}")
 
 
 class ImpossibleOutcomeError(PhaseAmpError):

@@ -22,16 +22,13 @@ import numpy as np
 
 from .amplifier import initial_state, step, success_run, tail_probability
 from .encoding import PhaseHistogram, build_histogram
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError
 from .graphs import ObjectiveKind, parse_graph_spec
 from .meta import SCHEMA_VERSION, __version__
 
 FIG1A_GRAPHS = ("line:6", "line:8", "line:10", "line:12")
 FIG1BC_GRAPHS = ("line:10", "grid:3x3", "grid:4x4", "starring:16")
 FIG2_GRAPHS = ("line:12", "grid:4x4", "starring:16")
-
-# Trajectory experiments enumerate every assignment once per graph.
-TRAJECTORY_VERTEX_LIMIT = 20
 
 _CSV_HEADER = "m,p_individual,P_sequence,p_optimal_conditional"
 
@@ -117,19 +114,11 @@ def success_trajectory(
     if m_max < 0:
         raise InvalidParameterError("iteration range must be nonnegative")
     optimal_level = int(np.max(np.nonzero(h.counts)[0]))
-    state = initial_state(h)
-    records = [
-        IterationRecord(
-            0,
-            1.0,
-            1.0,
-            float(state.weights[optimal_level]),
-            tail_probability(state, math.pi / 2),
-            tail_probability(state, 3 * math.pi / 4),
-        )
-    ]
-    for m in range(1, m_max + 1):
-        state, p = step(state, 1)
+    state, p = initial_state(h), 1.0
+    records = []
+    for m in range(m_max + 1):
+        if m:
+            state, p = step(state, 1)
         records.append(
             IterationRecord(
                 m,
@@ -151,19 +140,13 @@ def success_trajectory(
     )
 
 
-def _trajectory_for_spec(spec: str, m_max: int) -> RunReport:
-    g = parse_graph_spec(spec)
-    if g.n_vertices > TRAJECTORY_VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"trajectory experiments capped at {TRAJECTORY_VERTEX_LIMIT} vertices, "
-            f"got {g.n_vertices} from {spec!r}"
-        )
-    h = build_histogram(g, ObjectiveKind.MAXCUT)
-    return success_trajectory(h, m_max, label=spec, n_vertices=g.n_vertices)
-
-
 def _trajectories(specs: Sequence[str], m_max: int) -> dict[str, RunReport]:
-    return {spec: _trajectory_for_spec(spec, m_max) for spec in specs}
+    reports = {}
+    for spec in specs:
+        g = parse_graph_spec(spec)
+        h = build_histogram(g, ObjectiveKind.MAXCUT)
+        reports[spec] = success_trajectory(h, m_max, label=spec, n_vertices=g.n_vertices)
+    return reports
 
 
 def fig1a(graph_specs: Sequence[str] = FIG1A_GRAPHS, m_max: int = 60) -> dict[str, RunReport]:

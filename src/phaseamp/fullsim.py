@@ -33,10 +33,7 @@ import numpy as np
 
 from .amplifier import MeasurementSequence, run_sequence
 from .encoding import histogram_from_phases
-from .errors import ImpossibleOutcomeError, InvalidParameterError, ResourceLimitError
-
-MAX_SUPPORT = 1024
-MAX_SEQUENCE = 8
+from .errors import ImpossibleOutcomeError, InvalidParameterError, check_limit
 
 _NORM_ATOL = 1e-12
 
@@ -125,10 +122,8 @@ def run_sequence_fullsim(
 ) -> tuple[float, np.ndarray]:
     """Joint probability of ``y`` and the conditional per-assignment distribution."""
     arr = _check_phases(phases)
-    if arr.size > MAX_SUPPORT:
-        raise ResourceLimitError(f"dense simulation capped at {MAX_SUPPORT} assignments")
-    if y.m > MAX_SEQUENCE:
-        raise ResourceLimitError(f"dense simulation capped at {MAX_SEQUENCE} outcomes")
+    check_limit("dense_support", arr.size, "dense simulation")
+    check_limit("dense_sequence", y.m, "dense simulation")
     state = prepare(arr)
     log_p = 0.0
     for outcome in y.outcomes:
@@ -161,12 +156,13 @@ def compare_with_class_weights(
     both the joint sequence probability and the conditional per-assignment
     distribution (a level weight spread uniformly over the level's members).
     """
-    if n_phase_sets < 1 or max_support < 1:
-        raise InvalidParameterError("need at least one phase set and one assignment")
-    if max_support > MAX_SUPPORT:
-        raise ResourceLimitError(f"dense simulation capped at {MAX_SUPPORT} assignments")
-    if max_sequence > MAX_SEQUENCE:
-        raise ResourceLimitError(f"dense simulation capped at {MAX_SEQUENCE} outcomes")
+    if n_phase_sets < 1 or max_support < 2 or max_sequence < 0:
+        raise InvalidParameterError(
+            "need n_phase_sets >= 1, max_support >= 2 and max_sequence >= 0, "
+            f"got {n_phase_sets}, {max_support} and {max_sequence}"
+        )
+    check_limit("dense_support", max_support, "dense simulation")
+    check_limit("dense_sequence", max_sequence, "dense simulation")
     gen = np.random.default_rng(seed)
     worst_p = 0.0
     worst_d = 0.0

@@ -20,10 +20,8 @@ from .errors import (
     InvalidParameterError,
     InvalidSizeError,
     ResourceLimitError,
+    check_limit,
 )
-
-# Exhaustive passes refuse graphs with more vertices than this.
-ENUMERATION_LIMIT = 28
 
 _CHUNK = 1 << 22
 
@@ -167,10 +165,7 @@ def scored_assignments(
 
     The vertex cap is checked at the call; ``task`` names the caller in its message.
     """
-    if g.n_vertices > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"{task} capped at {ENUMERATION_LIMIT} vertices, got {g.n_vertices}"
-        )
+    check_limit("enumeration", g.n_vertices, task)
     total = 1 << g.n_vertices
     starts = range(0, total, _CHUNK)
     chunks = (np.arange(s, min(s + _CHUNK, total), dtype=np.uint32) for s in starts)

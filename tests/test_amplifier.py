@@ -20,7 +20,6 @@ from phaseamp import (
     histogram_from_phases,
     initial_state,
     make_line,
-    moment_sum,
     outcome_probability,
     parse_graph_spec,
     run_sequence,
@@ -167,14 +166,6 @@ class TestRunSequence:
 
 
 class TestClosedForm:
-    def test_moment_sum_order_zero_counts_support(self, benchmark_histograms):
-        for h in benchmark_histograms.values():
-            assert moment_sum(h, 0, 0) == pytest.approx(h.support)
-
-    def test_moment_sum_rejects_negative_orders(self, grid44_histogram):
-        with pytest.raises(InvalidParameterError):
-            moment_sum(grid44_histogram, -1, 0)
-
     @pytest.mark.parametrize("bits", ["1", "10", "110", "0101", "11111"])
     def test_closed_form_matches_fold(self, benchmark_histograms, bits):
         y = MeasurementSequence.from_string(bits)

@@ -12,12 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from phaseamp import fullsim
+from phaseamp import cli
 from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
-from phaseamp.encoding import CLASS_TABLE_LIMIT
-from phaseamp.errors import InvalidParameterError
-from phaseamp.experiments import TRAJECTORY_VERTEX_LIMIT
-from phaseamp.graphs import ENUMERATION_LIMIT
+from phaseamp.errors import LIMITS, InvalidParameterError
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +255,18 @@ class TestAmplifyVerb:
         assert out == ""
         assert err.count("\n") == 1 and "--sample" in err
 
+    def test_class_table_cap_is_exit_3_before_any_histogram(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("histogram built before the class-table cap was checked")
+
+        monkeypatch.setattr(cli, "build_histogram", refuse)
+        code, out, err = run_cli(
+            capsys, "amplify", "--graph", "line:21", "--successes", "3", "--sample", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: class tables capped at 20 vertices, got 21\n"
+
     def test_writes_report(self, capsys, tmp_path):
         run_json(
             capsys,
@@ -364,6 +373,25 @@ class TestFiguresVerb:
         )
         names = {name.rsplit("/", 1)[-1] for name in doc["written"]}
         assert names == {"custom_line_4.csv", "custom_line_5.csv"}
+
+    def test_custom_graphs_past_the_class_table_cap(self, capsys, tmp_path):
+        # Trajectories cost one histogram, so only the enumeration cap applies.
+        doc = run_json(
+            capsys,
+            "figures",
+            "--experiment",
+            "custom",
+            "--graphs",
+            "grid:3x7",
+            "--m-max",
+            "5",
+            "--out",
+            str(tmp_path),
+        )
+        assert len(doc["written"]) == 3
+        report = json.loads((tmp_path / "custom_grid_3x7.json").read_text())
+        assert report["n_vertices"] == 21
+        assert [r["m"] for r in report["records"]] == list(range(6))
 
     def test_custom_without_graphs_is_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -491,6 +519,31 @@ class TestTwopeakVerb:
         )
         assert code == 2
 
+    def test_dead_lower_peak_on_a_long_float_run(self, capsys):
+        code, out, err = run_cli(
+            capsys, "twopeak", "--q-u", "1/8", "--alpha-l", "0", "--alpha-u", "pi",
+            "--measurements", "100000",
+        )
+        assert code == 0, err
+        doc = strict_json(out)
+        assert doc["ratio"] == {"exact": "infinity", "value": None}
+        assert doc["p_upper"] == 1.0
+        assert doc["run_probability"] == pytest.approx(0.125, rel=1e-12)
+        assert doc["run_probability_via_ratio"] is None
+
+    def test_ratio_past_the_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "twopeak", "--q-u", "1/8", "--alpha-l", "pi/3", "--alpha-u", "2pi/3",
+            "--measurements", "5000",
+        )
+        assert code == 0, err
+        doc = strict_json(out)
+        # ratio = 3^5000 / 7 and run probability = 0.75^5000 / 8 leave the float range.
+        assert doc["ratio"] == {"exact": "infinity", "value": None}
+        assert doc["p_upper"] == 1.0
+        assert 0.0 <= doc["run_probability"] < 1e-300
+        assert doc["run_probability_via_ratio"] is None
+
 
 class TestUniformAsymptoticsVerb:
     def test_small_m_report(self, capsys):
@@ -543,6 +596,15 @@ class TestVerifyOracleVerb:
         assert code == 3
         assert out == ""
         assert "capped" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-qubits", "0"), ("--max-qubits", "-1"), ("--max-seq", "-1")]
+    )
+    def test_empty_plan_names_the_flag(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify-oracle", flag, value, "--sets", "2")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} ")
 
 
 class TestGridTableVerb:
@@ -652,17 +714,14 @@ class TestTopLevel:
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = " ".join(readme.read_text().split())
         caps = re.search(
-            r"histograms and optima enumerate graphs of at most (\d+) vertices, "
-            r"class tables and assignment sampling at most (\d+), "
-            r"trajectory experiments at most (\d+); "
+            r"histograms, optima and trajectory experiments enumerate graphs of at "
+            r"most (\d+) vertices, class tables and assignment sampling at most (\d+); "
             r"the dense oracle is capped at N=(\d+) / (\d+) measurements",
             text,
         )
         assert caps is not None
-        assert tuple(int(v) for v in caps.groups()) == (
-            ENUMERATION_LIMIT,
-            CLASS_TABLE_LIMIT,
-            TRAJECTORY_VERTEX_LIMIT,
-            fullsim.MAX_SUPPORT,
-            fullsim.MAX_SEQUENCE,
+        budgets = ("enumeration", "class_table", "dense_support", "dense_sequence")
+        assert tuple(int(v) for v in caps.groups()) == tuple(
+            LIMITS[b][0] for b in budgets
         )
+        assert set(LIMITS) == set(budgets)

@@ -1,0 +1,159 @@
+"""Fuzzing the command line: every argument vector gives a report or a one-line error.
+
+``main`` runs in process on argument vectors drawn flag by flag, with values
+inside and outside each flag's domain. Every verb but ``figures`` (which
+writes files) is covered; sizes stay small so a run takes seconds.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from phaseamp.cli import main
+
+GRAPHS = (
+    "line:2", "line:7", "grid:2x3", "grid:3x3", "starring:5", "starring:9",
+    "line:1", "grid:0x3", "line:29", "nosuch:4",
+)
+GRIDS = ("grid:3x3", "grid:4x4", "line:10", "starring:8", "line:29", "grid:2x0")
+OBJECTIVES = ("maxcut", "covered-edges", "cover", "bogus")
+ANGLES = (
+    "0", "pi", "pi/2", "pi/3", "2pi/3", "3pi/4", "0.5", "3.1", "-1", "7",
+    "nan", "inf", "pi/0", "x",
+)
+FRACTIONS = ("0", "1", "1/16", "1/8", "1/2", "7/8", "3/2", "2", "-1/4", "1/0", "x")
+FLOATS = ("0", "1e-320", "1e-9", "0.05", "0.5", "1", "1.5", "-0.1", "nan", "inf")
+LENGTHS = st.integers(min_value=-2, max_value=2000)
+
+# Verbs whose report on stdout is JSON whatever their flags.
+JSON_VERBS = {"hist", "amplify", "bounds", "twopeak", "uniform-asymptotics",
+              "verify-oracle", "grid-table"}
+
+
+def _text(values) -> st.SearchStrategy[str]:
+    return st.sampled_from(values)
+
+
+def _int(low: int, high: int) -> st.SearchStrategy[str]:
+    return st.integers(min_value=low, max_value=high).map(str)
+
+
+def _opt(flag: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _switch(flag: str) -> st.SearchStrategy[list[str]]:
+    return st.sampled_from([[], [flag]])
+
+
+def _verb(name: str, *parts: st.SearchStrategy[list[str]]) -> st.SearchStrategy[list[str]]:
+    return st.tuples(*parts).map(lambda ps: [name, *(a for p in ps for a in p)])
+
+
+def _req(flag: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    return values.map(lambda v: [flag, v])
+
+
+SOURCE = st.one_of(_req("--graph", _text(GRAPHS)), _req("--uniform", _int(-1, 40)))
+RECORD = st.one_of(
+    _req("--sequence", st.text(alphabet="01", max_size=40)),
+    _req("--successes", LENGTHS.map(str)),
+)
+
+ARGVS = st.one_of(
+    _verb(
+        "graph", st.just([]), _text(GRAPHS).map(lambda s: [s]), _switch("--optima"),
+        _opt("--objective", _text(OBJECTIVES)),
+    ),
+    _verb(
+        "hist", SOURCE, _opt("--objective", _text(OBJECTIVES)), _switch("--include-zero"),
+    ),
+    _verb(
+        "amplify", SOURCE, RECORD, _opt("--tail-at", _text(ANGLES)),
+        _opt("--sample", _int(-2, 4)), _opt("--seed", _int(0, 9)),
+        _switch("--include-zero"),
+    ),
+    _verb(
+        "bounds", _req("--p-run", _text(FLOATS)), _req("--m", LENGTHS.map(str)),
+        _req("--theta-ref", _text(ANGLES)), _opt("--p01", _text(FLOATS)),
+        _opt("--half-width", _text(ANGLES)),
+    ),
+    _verb(
+        "twopeak", _req("--q-u", _text(FRACTIONS)),
+        st.one_of(
+            st.tuples(_opt("--a-l", _text(FRACTIONS)), _opt("--a-u", _text(FRACTIONS))),
+            st.tuples(_opt("--alpha-l", _text(ANGLES)), _opt("--alpha-u", _text(ANGLES))),
+        ).map(lambda pair: [*pair[0], *pair[1]]),
+        _opt("--measurements", LENGTHS.map(str)), _opt("--target-ratio", _text(FRACTIONS)),
+    ),
+    _verb(
+        "uniform-asymptotics", _req("--m", LENGTHS.map(str)), _opt("--theta", _text(ANGLES)),
+    ),
+    _verb(
+        "verify-oracle", _opt("--max-qubits", _int(-2, 12)), _opt("--max-seq", _int(-2, 9)),
+        _req("--sets", _int(-1, 3)), _opt("--seed", _int(0, 9)),
+    ),
+    _verb("grid-table", _opt("--grid", _text(GRIDS)), _opt("--successes", LENGTHS.map(str))),
+)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _flag(argv: list[str], name: str, default: str) -> str:
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def _run(argv: list[str]) -> tuple[int, str, str, bool]:
+    """Exit code, stdout, stderr, and whether argparse refused the vector."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code, refused = main(argv), False
+        except SystemExit as exc:
+            code, refused = exc.code, True
+    return code, out.getvalue(), err.getvalue(), refused
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=ARGVS)
+@example(argv=["twopeak", "--q-u", "1/8", "--alpha-l", "0", "--alpha-u", "pi",
+               "--measurements", "100000"])
+@example(argv=["twopeak", "--q-u", "1/8", "--alpha-l", "pi/3", "--alpha-u", "2pi/3",
+               "--measurements", "5000"])
+@example(argv=["verify-oracle", "--max-seq", "-1", "--sets", "2"])
+@example(argv=["verify-oracle", "--max-qubits", "0", "--sets", "2"])
+@example(argv=["verify-oracle", "--max-qubits", "-1", "--sets", "2"])
+@example(argv=["amplify", "--graph", "line:21", "--successes", "3", "--sample", "1"])
+def test_every_argv_gives_a_report_or_a_one_line_error(argv):
+    code, out, err, refused = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    verb = argv[0]
+    if refused:
+        assert code == 2 and out == ""
+        assert ": error: " in err.splitlines()[-1]
+        return
+    if code != 0:
+        assert out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+    if verb == "verify-oracle":
+        # A plan that would compare nothing is refused by the flag that empties it.
+        if int(_flag(argv, "--max-qubits", "5")) < 1:
+            assert code == 2 and "--max-qubits" in err, (argv, err)
+        elif int(_flag(argv, "--max-seq", "6")) < 0:
+            assert code == 2 and "--max-seq" in err, (argv, err)
+    if verb == "amplify" and int(_flag(argv, "--sample", "0")) < 0:
+        assert code == 2 and "--sample" in err, (argv, err)
+    if code != 0:
+        return
+    assert err == "", argv
+    if verb in JSON_VERBS or "--optima" in argv:
+        doc = json.loads(out, parse_constant=_reject_constant)
+        if verb == "verify-oracle":
+            assert doc["cases"] >= 1, argv

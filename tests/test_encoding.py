@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from phaseamp import graphs
 from phaseamp import (
     InvalidParameterError,
     InvalidSizeError,
@@ -16,7 +17,6 @@ from phaseamp import (
     ResourceLimitError,
     SCHEMA_VERSION,
     TwoPeakModel,
-    UnsupportedSizeError,
     build_class_table,
     build_histogram,
     histogram_from_phases,
@@ -270,6 +270,15 @@ class TestClassTable:
             for x in table.members(level):
                 assert objective_value(g, ObjectiveKind.MAXCUT, int(x)) == level
 
+    def test_levels_span_enumeration_chunks(self, monkeypatch):
+        # Small chunks make the shared enumerator hand the table several pieces.
+        monkeypatch.setattr(graphs, "_CHUNK", 16)
+        g = parse_graph_spec("grid:2x4")
+        table = build_class_table(g, ObjectiveKind.COVERED_EDGES, include_zero=True)
+        assert table.levels.tolist() == [
+            objective_value(g, ObjectiveKind.COVERED_EDGES, x) for x in range(1 << 8)
+        ]
+
     def test_all_zeros_outside_support(self):
         table = build_class_table(make_line(5), ObjectiveKind.MAXCUT)
         with pytest.raises(InvalidParameterError):
@@ -282,7 +291,7 @@ class TestClassTable:
         assert table.class_of(0) == 0
 
     def test_size_cap(self):
-        with pytest.raises(UnsupportedSizeError):
+        with pytest.raises(ResourceLimitError, match="class tables capped at 20 vertices"):
             build_class_table(make_line(21), ObjectiveKind.MAXCUT)
 
     def test_level_out_of_range(self):

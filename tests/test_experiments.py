@@ -133,7 +133,7 @@ class TestFigureFamilies:
 
     def test_trajectory_graphs_are_size_capped(self):
         with pytest.raises(ResourceLimitError):
-            fig1a(("line:21",), 5)
+            fig1a(("line:29",), 5)
 
     def test_fig2_histograms_match_builder(self, benchmark_graphs):
         out = fig2()

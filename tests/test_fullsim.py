@@ -21,7 +21,7 @@ from phaseamp import (
     run_sequence,
     run_sequence_fullsim,
 )
-from phaseamp.fullsim import MAX_SUPPORT
+from phaseamp.errors import LIMITS
 
 
 class TestPrepare:
@@ -144,9 +144,16 @@ class TestOracleComparison:
         for seed in range(5):
             with pytest.raises(ResourceLimitError):
                 compare_with_class_weights(
-                    n_phase_sets=1, max_support=MAX_SUPPORT + 1, max_sequence=0, seed=seed
+                    n_phase_sets=1, max_support=LIMITS["dense_support"][0] + 1, max_sequence=0, seed=seed
                 )
 
     def test_rejects_empty_plan(self):
         with pytest.raises(InvalidParameterError):
             compare_with_class_weights(n_phase_sets=0)
+
+    @pytest.mark.parametrize(
+        "plan", [{"max_support": 1}, {"max_support": 0}, {"max_sequence": -1}]
+    )
+    def test_rejects_plans_without_cases(self, plan):
+        with pytest.raises(InvalidParameterError):
+            compare_with_class_weights(n_phase_sets=2, **plan)

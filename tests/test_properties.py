@@ -181,6 +181,26 @@ class TestBounds:
 
 class TestTwoPeakDualRoute:
     @given(
+        q_num=st.integers(min_value=1, max_value=15),
+        a_l_num=st.integers(min_value=0, max_value=15),
+        a_u_num=st.integers(min_value=17, max_value=32),
+        m=st.integers(min_value=0, max_value=200),
+    )
+    def test_float_gains_match_the_exact_fractions(self, q_num, a_l_num, a_u_num, m):
+        shares_and_gains = (Fraction(q_num, 16), Fraction(a_l_num, 16), Fraction(a_u_num, 16))
+        exact = two_peak_stats(TwoPeakModel.from_gains(*shares_and_gains), m)
+        floats = two_peak_stats(
+            TwoPeakModel.from_gains(*(float(v) for v in shares_and_gains)), m
+        )
+        for name in ("ratio", "p_upper", "run_probability", "run_probability_via_ratio"):
+            want, got = getattr(exact, name), getattr(floats, name)
+            assert isinstance(got, float) or got is None, name
+            if want is None or want == math.inf:
+                assert got == want, name
+            else:
+                assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), name
+
+    @given(
         n_support=st.integers(min_value=2, max_value=64),
         data=st.data(),
         a_l_num=st.integers(min_value=0, max_value=15),
