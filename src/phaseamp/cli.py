@@ -20,7 +20,7 @@ import numpy as np
 
 from . import amplifier, analytics, experiments, fullsim
 from .encoding import build_class_table, build_histogram, uniform_histogram
-from .errors import LIMITS, InvalidParameterError, PhaseAmpError, check_limit
+from .errors import LIMITS, InvalidParameterError, PhaseAmpError, ResourceLimitError, check_limit
 from .experiments import FORMATS, json_text, slug, write_files
 from .graphs import (
     ObjectiveKind,
@@ -29,9 +29,6 @@ from .graphs import (
     parse_graph_spec,
 )
 from .meta import SCHEMA_VERSION, __version__
-
-# What ``figures --experiment all`` regenerates.
-_PAPER_EXPERIMENTS = [e for e in experiments.EXPERIMENT_IDS if e != "custom"]
 
 _ANGLE_RE = re.compile(r"(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?")
 
@@ -172,19 +169,15 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    ids = _PAPER_EXPERIMENTS if args.experiment == "all" else [args.experiment]
-    specs = tuple(args.graphs.split(",")) if args.graphs else None
-    written: list[str] = []
-    for exp in ids:
-        config = experiments.ExperimentConfig(
-            experiment=exp,
-            graph_specs=specs,
-            m_max=args.m_max,
-            successes=args.successes,
-            out_dir=args.out,
-            formats=args.format,
-        )
-        written.extend(str(p) for p in experiments.run_experiment(config))
+    config = experiments.ExperimentConfig(
+        experiment=args.experiment,
+        graph_specs=tuple(args.graphs.split(",")) if args.graphs else None,
+        m_max=args.m_max,
+        successes=args.successes,
+        out_dir=args.out,
+        formats=args.format,
+    )
+    written = [str(p) for p in experiments.run_experiment(config)]
     _print_json({"schema": SCHEMA_VERSION, "written": written})
     return 0
 
@@ -273,11 +266,18 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--max-qubits must be at least 1, got {args.max_qubits}")
     if args.max_seq < 0:
         raise InvalidParameterError(f"--max-seq must be nonnegative, got {args.max_seq}")
-    # Any size past the cap is refused alike, so 2^max_qubits need not be built.
-    qubits = min(args.max_qubits, LIMITS["dense_support"][0].bit_length())
+    if args.sets < 1:
+        raise InvalidParameterError(f"--sets must be at least 1, got {args.sets}")
+    # The support is 2^max_qubits, so the flag is checked before 2^max_qubits is built.
+    support_cap, unit = LIMITS["dense_support"]
+    qubit_cap = support_cap.bit_length() - 1
+    if args.max_qubits > qubit_cap:
+        raise ResourceLimitError(
+            f"--max-qubits capped at {qubit_cap} ({support_cap} {unit}), got {args.max_qubits}"
+        )
     report = fullsim.compare_with_class_weights(
         n_phase_sets=args.sets,
-        max_support=1 << qubits,
+        max_support=1 << args.max_qubits,
         max_sequence=args.max_seq,
         seed=args.seed,
     )
@@ -293,7 +293,8 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid_table(args: argparse.Namespace) -> int:
-    table = experiments.grid_table(args.grid, args.successes)
+    config = experiments.ExperimentConfig("grid-table", (args.grid,), successes=args.successes)
+    table = experiments.build_reports(config)["grid-table"]
     text = _print_json(table.to_json_dict())
     if args.out:
         write_files(args.out, [("grid_table", {"json": lambda: text})])
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--experiment",
         default="all",
-        choices=[*_PAPER_EXPERIMENTS, "custom", "all"],
+        choices=experiments.EXPERIMENT_IDS,
     )
     p.add_argument("--graphs", help="comma-separated graph specs override")
     p.add_argument("--m-max", type=int, default=60)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Sequence
@@ -20,7 +20,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .amplifier import initial_state, step, success_run, tail_probability
+from .amplifier import initial_state, step, tail_probability
 from .encoding import PhaseHistogram, build_histogram
 from .errors import InvalidParameterError
 from .graphs import ObjectiveKind, parse_graph_spec
@@ -70,7 +70,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Success trajectory on one graph plus provenance."""
+    """Success trajectory on one graph, its provenance, and its final level weights."""
 
     label: str
     objective: str
@@ -79,6 +79,7 @@ class RunReport:
     support: int
     optimal_level: int
     records: tuple[IterationRecord, ...]
+    weights: np.ndarray = field(compare=False, repr=False)
 
     def to_csv(self) -> str:
         lines = [_CSV_HEADER]
@@ -137,48 +138,8 @@ def success_trajectory(
         h.support,
         optimal_level,
         tuple(records),
+        state.weights,
     )
-
-
-def _trajectories(specs: Sequence[str], m_max: int) -> dict[str, RunReport]:
-    reports = {}
-    for spec in specs:
-        g = parse_graph_spec(spec)
-        h = build_histogram(g, ObjectiveKind.MAXCUT)
-        reports[spec] = success_trajectory(h, m_max, label=spec, n_vertices=g.n_vertices)
-    return reports
-
-
-def fig1a(graph_specs: Sequence[str] = FIG1A_GRAPHS, m_max: int = 60) -> dict[str, RunReport]:
-    """Conditional optimal probability vs success count across line sizes."""
-    return _trajectories(tuple(graph_specs), m_max)
-
-
-def fig1b_fig1c(
-    graph_specs: Sequence[str] = FIG1BC_GRAPHS, m_max: int = 60
-) -> dict[str, RunReport]:
-    """Individual and sequence success probabilities on the benchmark graphs."""
-    specs = tuple(graph_specs)
-    unknown = [s for s in specs if s not in FIG1BC_GRAPHS]
-    if unknown:
-        raise InvalidParameterError(
-            f"benchmark trajectories cover {FIG1BC_GRAPHS}, got {unknown}"
-        )
-    return _trajectories(specs, m_max)
-
-
-def fig2(graph_specs: Sequence[str] = FIG2_GRAPHS) -> dict[str, PhaseHistogram]:
-    """Phase distributions of the showcase graphs (all-zeros assignment excluded)."""
-    specs = tuple(graph_specs)
-    unknown = [s for s in specs if s not in FIG2_GRAPHS]
-    if unknown:
-        raise InvalidParameterError(
-            f"phase distribution exports cover {FIG2_GRAPHS}, got {unknown}"
-        )
-    return {
-        spec: build_histogram(parse_graph_spec(spec), ObjectiveKind.MAXCUT)
-        for spec in specs
-    }
 
 
 @dataclass(frozen=True)
@@ -220,21 +181,6 @@ class AmplifiedDistribution:
                 for t, w in zip(self.thetas, self.scaled_weights)
             ],
         }
-
-
-def fig3(grid_spec: str = "grid:4x4", m: int = 10) -> AmplifiedDistribution:
-    """Phase distribution of the grid after ``m`` successes, count-scaled.
-
-    At m = 0 the output equals the unamplified distribution exactly.
-    """
-    if m < 0:
-        raise InvalidParameterError("success count must be nonnegative")
-    g = parse_graph_spec(grid_spec)
-    h = build_histogram(g, ObjectiveKind.MAXCUT)
-    state, _ = success_run(h, m)
-    return AmplifiedDistribution(
-        grid_spec, m, h.support, h.thetas, h.support * state.weights
-    )
 
 
 @dataclass(frozen=True)
@@ -290,17 +236,49 @@ class GridTableReport:
         return "\n".join(lines) + "\n"
 
 
-def grid_table(grid_spec: str = "grid:4x4", m: int = 10) -> GridTableReport:
-    """Initial and amplified optimal hit rates plus the work comparison."""
-    if m < 0:
-        raise InvalidParameterError("success count must be nonnegative")
-    g = parse_graph_spec(grid_spec)
-    h = build_histogram(g, ObjectiveKind.MAXCUT)
-    optimal_level = int(np.max(np.nonzero(h.counts)[0]))
-    initial = float(h.counts[optimal_level] / h.support)
-    state, p_run = success_run(h, m)
+class _Products:
+    """Each graph's histogram and (graph, length) trajectory, built once per call."""
+
+    def __init__(self) -> None:
+        self.graphs: dict[str, tuple[int, PhaseHistogram]] = {}
+        self.trajectories: dict[tuple[str, int], RunReport] = {}
+
+    def histogram(self, spec: str) -> PhaseHistogram:
+        if spec not in self.graphs:
+            g = parse_graph_spec(spec)
+            self.graphs[spec] = g.n_vertices, build_histogram(g, ObjectiveKind.MAXCUT)
+        return self.graphs[spec][1]
+
+    def trajectory(self, spec: str, m_max: int) -> RunReport:
+        if (spec, m_max) not in self.trajectories:
+            h, n_vertices = self.histogram(spec), self.graphs[spec][0]
+            run = success_trajectory(h, m_max, label=spec, n_vertices=n_vertices)
+            self.trajectories[spec, m_max] = run
+        return self.trajectories[spec, m_max]
+
+
+def _trajectories(products: _Products, specs: Sequence[str], config: ExperimentConfig):
+    return {spec: products.trajectory(spec, config.m_max) for spec in specs}
+
+
+def _histograms(products: _Products, specs: Sequence[str], config: ExperimentConfig):
+    return {spec: products.histogram(spec) for spec in specs}
+
+
+def _amplified(products: _Products, specs: Sequence[str], config: ExperimentConfig):
+    """Distribution after ``successes`` successes; at 0 it is the unamplified one exactly."""
+    (spec,), m = specs, config.successes
+    h, weights = products.histogram(spec), products.trajectory(spec, m).weights
+    return AmplifiedDistribution(spec, m, h.support, h.thetas, h.support * weights)
+
+
+def _grid_table(products: _Products, specs: Sequence[str], config: ExperimentConfig):
+    """Initial and amplified optimal hit rates: rows 0 and m of the trajectory."""
+    (spec,), m = specs, config.successes
+    records = products.trajectory(spec, m).records
+    first, last = records[0], records[-1]
     return GridTableReport(
-        grid_spec, m, initial, float(state.weights[optimal_level]), p_run
+        spec, m, first.p_optimal_conditional, last.p_optimal_conditional, last.p_sequence
     )
 
 
@@ -542,7 +520,7 @@ def _bar_chart(name: str, xs, ys, title: str, ylabel: str) -> Callable[[], str]:
     return chart
 
 
-def _trajectory_files(exp: str, reports: Mapping[str, RunReport], y_field: str, ylabel: str):
+def _trajectory_files(y_field: str, ylabel: str, exp: str, reports: Mapping[str, RunReport]):
     """CSV and JSON per graph, then one chart of ``y_field`` over all graphs."""
 
     def chart() -> str:
@@ -584,39 +562,35 @@ def _grid_table_files(exp: str, table: GridTableReport):
     return [("grid_table", {"json": lambda: json_text(table.to_json_dict()), "csv": table.to_csv})]
 
 
-def _first_spec(config: ExperimentConfig) -> str:
-    return (config.graph_specs or ("grid:4x4",))[0]
+_OPTIMAL = partial(_trajectory_files, "p_optimal_conditional", "conditional optimal probability")
+_SEQUENCE = partial(_trajectory_files, "p_sequence", "sequence probability")
+_INDIVIDUAL = partial(_trajectory_files, "p_individual", "individual success probability")
 
-
-_CONDITIONAL_OPTIMAL = partial(
-    _trajectory_files, y_field="p_optimal_conditional", ylabel="conditional optimal probability"
-)
-
-# Experiment id -> (builder of its reports from the config, the files they go to).
+# Experiment id -> (the graphs it draws without graph specs, the builder of its
+# reports, the files they go to).
 _EXPERIMENTS = {
-    "fig1a": (lambda c: fig1a(c.graph_specs or FIG1A_GRAPHS, c.m_max), _CONDITIONAL_OPTIMAL),
-    "fig1b": (
-        lambda c: fig1b_fig1c(c.graph_specs or FIG1BC_GRAPHS, c.m_max),
-        partial(_trajectory_files, y_field="p_sequence", ylabel="sequence probability"),
-    ),
-    "fig1c": (
-        lambda c: fig1b_fig1c(c.graph_specs or FIG1BC_GRAPHS, c.m_max),
-        partial(
-            _trajectory_files, y_field="p_individual", ylabel="individual success probability"
-        ),
-    ),
-    "fig2": (lambda c: fig2(c.graph_specs or FIG2_GRAPHS), _fig2_files),
-    "fig3": (lambda c: fig3(_first_spec(c), c.successes), _fig3_files),
-    "grid-table": (lambda c: grid_table(_first_spec(c), c.successes), _grid_table_files),
-    "custom": (lambda c: _trajectories(c.graph_specs, c.m_max), _CONDITIONAL_OPTIMAL),
+    "fig1a": (FIG1A_GRAPHS, _trajectories, _OPTIMAL),
+    "fig1b": (FIG1BC_GRAPHS, _trajectories, _SEQUENCE),
+    "fig1c": (FIG1BC_GRAPHS, _trajectories, _INDIVIDUAL),
+    "fig2": (FIG2_GRAPHS, _histograms, _fig2_files),
+    "fig3": (("grid:4x4",), _amplified, _fig3_files),
+    "grid-table": (("grid:4x4",), _grid_table, _grid_table_files),
+    "custom": ((), _trajectories, _OPTIMAL),
 }
+# Experiments that draw only their own graphs, and those that draw exactly one.
+_OWN_GRAPHS_ONLY = ("fig1b", "fig1c", "fig2")
+_ONE_GRAPH = ("fig3", "grid-table")
 
-EXPERIMENT_IDS = tuple(_EXPERIMENTS)
+EXPERIMENT_IDS = (*_EXPERIMENTS, "all")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What to regenerate, where, and in which formats."""
+    """What to regenerate, where, and in which formats.
+
+    ``all`` is every experiment but ``custom``. Graph specs, when given, replace
+    the graphs of every selected experiment; an exact repeat counts once.
+    """
 
     experiment: str
     graph_specs: tuple[str, ...] | None = None
@@ -641,10 +615,54 @@ class ExperimentConfig:
             raise InvalidParameterError("custom experiments need explicit graph specs")
         object.__setattr__(self, "formats", formats)
         if self.graph_specs is not None:
-            object.__setattr__(self, "graph_specs", tuple(self.graph_specs))
+            specs = tuple(dict.fromkeys(self.graph_specs))
+            _check_graphs(specs, self.experiments)
+            object.__setattr__(self, "graph_specs", specs)
+
+    @property
+    def experiments(self) -> tuple[str, ...]:
+        """The experiment ids this config regenerates, in table order."""
+        if self.experiment == "all":
+            return tuple(e for e in _EXPERIMENTS if e != "custom")
+        return (self.experiment,)
+
+
+def _check_graphs(specs: tuple[str, ...], experiments: Sequence[str]) -> None:
+    """Refuse graph specs an experiment cannot draw, or whose files would collide."""
+    stems = [slug(spec) for spec in specs]
+    if len(set(stems)) < len(stems):
+        raise InvalidParameterError(f"graph specs {list(specs)} give clashing file names {stems}")
+    for exp in experiments:
+        if exp in _ONE_GRAPH and len(specs) > 1:
+            raise InvalidParameterError(f"{exp} draws one graph, got {len(specs)} graph specs")
+        unknown = [spec for spec in specs if spec not in _EXPERIMENTS[exp][0]]
+        if exp in _OWN_GRAPHS_ONLY and unknown:
+            raise InvalidParameterError(f"{exp} draws only {_EXPERIMENTS[exp][0]}, got {unknown}")
+
+
+def build_reports(config: ExperimentConfig) -> dict[str, object]:
+    """Every report the config selects, by experiment id, in table order.
+
+    Within the call each graph's histogram is built once and each (graph,
+    length) trajectory folded once; nothing is kept between calls, so a graph
+    file is read again on the next one.
+    """
+    products = _Products()
+    reports = {}
+    for exp in config.experiments:
+        graphs, build, _ = _EXPERIMENTS[exp]
+        reports[exp] = build(products, config.graph_specs or graphs, config)
+    return reports
 
 
 def run_experiment(config: ExperimentConfig) -> list[Path]:
-    """Regenerate one experiment; returns the files written, in write order."""
-    build, files = _EXPERIMENTS[config.experiment]
-    return write_files(config.out_dir, files(config.experiment, build(config)), config.formats)
+    """Regenerate the selected experiments; returns the files written, in write order.
+
+    Every report is built before the first file is written.
+    """
+    files = [
+        file
+        for exp, reports in build_reports(config).items()
+        for file in _EXPERIMENTS[exp][2](exp, reports)
+    ]
+    return write_files(config.out_dir, files, config.formats)

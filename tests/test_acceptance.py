@@ -15,14 +15,15 @@ from fractions import Fraction
 import numpy as np
 
 from phaseamp import (
+    ExperimentConfig,
     MeasurementSequence,
     ObjectiveKind,
     TwoPeakModel,
     band_bound,
     bound_from_success_run,
     build_histogram,
+    build_reports,
     compare_with_class_weights,
-    fig3,
     histogram_from_phases,
     initial_state,
     parse_graph_spec,
@@ -252,8 +253,8 @@ def test_criterion_10_amplified_never_beats_direct_sampling():
 
 
 def test_criterion_11_grid_mode_shift():
-    amplified = fig3("grid:4x4", 10)
-    unamplified = fig3("grid:4x4", 0)
+    amplified = build_reports(ExperimentConfig("fig3", successes=10))["fig3"]
+    unamplified = build_reports(ExperimentConfig("fig3", successes=0))["fig3"]
     level_spacing = math.pi / 24
     ok = (
         amplified.mode_theta > 2.0

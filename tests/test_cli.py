@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from phaseamp import cli
+from phaseamp import cli, experiments
 from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
 from phaseamp.errors import LIMITS, InvalidParameterError
+from phaseamp.graphs import format_graph_file, make_line
 
 
 def run_cli(capsys, *argv):
@@ -399,6 +400,72 @@ class TestFiguresVerb:
         )
         assert code == 2
 
+    def test_all_is_the_single_experiments_in_table_order(self, capsys, tmp_path):
+        together, apart = tmp_path / "together", tmp_path / "apart"
+        written = run_json(capsys, "figures", "--experiment", "all", "--out", str(together))
+        singles = []
+        for exp in ("fig1a", "fig1b", "fig1c", "fig2", "fig3", "grid-table"):
+            doc = run_json(capsys, "figures", "--experiment", exp, "--out", str(apart))
+            singles.extend(doc["written"])
+        names = [Path(name).name for name in written["written"]]
+        assert names == [Path(name).name for name in singles]
+        assert len(names) == 41
+        for name in names:
+            assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+
+    def test_all_builds_each_graph_once_per_run(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        build = experiments.build_histogram
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_histogram", counted)
+        for _ in range(2):
+            calls.clear()
+            run_json(capsys, "figures", "--m-max", "2", "--out", str(tmp_path))
+            assert len(calls) == 7
+
+    def test_rewritten_graph_file_is_read_again(self, capsys, tmp_path):
+        path = tmp_path / "g.graph"
+        for n in (4, 6):
+            path.write_text(format_graph_file(make_line(n)))
+            args = ["--graphs", str(path), "--m-max", "1", "--format", "json"]
+            doc = run_json(capsys, "figures", "--experiment", "custom", *args, "--out", str(tmp_path))
+            (report,) = doc["written"]
+            assert json.loads(Path(report).read_text())["n_vertices"] == n
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--graphs", "line:6"],
+            ["--experiment", "custom", "--graphs", "line:5,LINE:5"],
+            ["--experiment", "fig3", "--graphs", "grid:3x3,line:5"],
+            ["--experiment", "grid-table", "--graphs", "grid:3x3,line:5"],
+        ],
+    )
+    def test_refused_run_writes_nothing(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, "figures", *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment", ["fig3", "grid-table"])
+    def test_one_graph_experiment_names_itself(self, capsys, tmp_path, experiment):
+        argv = ["--experiment", experiment, "--graphs", "grid:3x3,line:5", "--out", str(tmp_path)]
+        code, _, err = run_cli(capsys, "figures", *argv)
+        assert code == 2
+        assert err.startswith(f"error: {experiment} draws one graph")
+
+    def test_exact_repeat_is_one_graph(self, capsys, tmp_path):
+        argv = ["--experiment", "custom", "--graphs", "line:5,line:5", "--m-max", "1"]
+        doc = run_json(capsys, "figures", *argv, "--out", str(tmp_path))
+        assert [Path(name).name for name in doc["written"]] == [
+            "custom_line_5.csv", "custom_line_5.json", "custom.svg"
+        ]
+
     def test_unknown_experiment_is_argparse_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["figures", "--experiment", "fig9", "--out", str(tmp_path)])
@@ -596,15 +663,25 @@ class TestVerifyOracleVerb:
         assert code == 3
         assert out == ""
         assert "capped" in err
+        # The message names the flag and the value given, not a clamped support.
+        assert err.startswith("error: --max-qubits ") and err.endswith(f"got {qubits}\n")
 
     @pytest.mark.parametrize(
-        "flag, value", [("--max-qubits", "0"), ("--max-qubits", "-1"), ("--max-seq", "-1")]
+        "flag, value",
+        [
+            ("--max-qubits", "0"),
+            ("--max-qubits", "-1"),
+            ("--max-seq", "-1"),
+            ("--sets", "0"),
+            ("--sets", "-1"),
+        ],
     )
     def test_empty_plan_names_the_flag(self, capsys, flag, value):
-        code, out, err = run_cli(capsys, "verify-oracle", flag, value, "--sets", "2")
+        code, out, err = run_cli(capsys, "verify-oracle", "--sets", "2", flag, value)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {flag} ")
+        assert err.endswith(f"got {value}\n")
 
 
 class TestGridTableVerb:

@@ -1,8 +1,9 @@
 """Fuzzing the command line: every argument vector gives a report or a one-line error.
 
 ``main`` runs in process on argument vectors drawn flag by flag, with values
-inside and outside each flag's domain. Every verb but ``figures`` (which
-writes files) is covered; sizes stay small so a run takes seconds.
+inside and outside each flag's domain. ``figures`` writes files, so it has
+its own test: a run writes its report or nothing. Sizes stay small so a run
+takes seconds.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ from __future__ import annotations
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaseamp.cli import main
+from phaseamp.errors import LIMITS
 
 GRAPHS = (
     "line:2", "line:7", "grid:2x3", "grid:3x3", "starring:5", "starring:9",
@@ -29,6 +32,13 @@ ANGLES = (
 FRACTIONS = ("0", "1", "1/16", "1/8", "1/2", "7/8", "3/2", "2", "-1/4", "1/0", "x")
 FLOATS = ("0", "1e-320", "1e-9", "0.05", "0.5", "1", "1.5", "-0.1", "nan", "inf")
 LENGTHS = st.integers(min_value=-2, max_value=2000)
+# Graph specs for figures: benchmark graphs, others, refused ones, and two that
+# give the same file name.
+FIGURE_GRAPHS = (
+    "line:10", "grid:3x3", "grid:4x4", "line:6", "line:4", "LINE:4", "grid:2x3",
+    "nosuch:4", "line:29", "",
+)
+EXPERIMENTS = ("fig1a", "fig1b", "fig1c", "fig2", "fig3", "grid-table", "custom", "all", "fig9")
 
 # Verbs whose report on stdout is JSON whatever their flags.
 JSON_VERBS = {"hist", "amplify", "bounds", "twopeak", "uniform-asymptotics",
@@ -143,11 +153,18 @@ def test_every_argv_gives_a_report_or_a_one_line_error(argv):
         assert out == "", argv
         assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
     if verb == "verify-oracle":
-        # A plan that would compare nothing is refused by the flag that empties it.
-        if int(_flag(argv, "--max-qubits", "5")) < 1:
+        # A plan that would compare nothing, or build past the dense cap, is
+        # refused by the flag that asks for it, quoting the value given.
+        qubits = int(_flag(argv, "--max-qubits", "5"))
+        if qubits < 1:
             assert code == 2 and "--max-qubits" in err, (argv, err)
         elif int(_flag(argv, "--max-seq", "6")) < 0:
             assert code == 2 and "--max-seq" in err, (argv, err)
+        elif int(_flag(argv, "--sets", "50")) < 1:
+            assert code == 2 and "--sets" in err, (argv, err)
+        elif 1 << qubits > LIMITS["dense_support"][0]:
+            assert code == 3 and err.startswith("error: --max-qubits "), (argv, err)
+            assert err.endswith(f"got {qubits}\n"), (argv, err)
     if verb == "amplify" and int(_flag(argv, "--sample", "0")) < 0:
         assert code == 2 and "--sample" in err, (argv, err)
     if code != 0:
@@ -157,3 +174,35 @@ def test_every_argv_gives_a_report_or_a_one_line_error(argv):
         doc = json.loads(out, parse_constant=_reject_constant)
         if verb == "verify-oracle":
             assert doc["cases"] >= 1, argv
+
+
+FIGURES_ARGVS = _verb(
+    "figures",
+    _req("--experiment", _text(EXPERIMENTS)),
+    _opt("--graphs", st.lists(_text(FIGURE_GRAPHS), min_size=1, max_size=3).map(",".join)),
+    _opt("--m-max", _int(-1, 4)),
+    _opt("--successes", _int(-1, 4)),
+    _opt("--format", _text(("csv", "json,svg", "svg", "csv,pdf", ","))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=FIGURES_ARGVS)
+@example(argv=["figures", "--experiment", "all", "--graphs", "line:6"])
+@example(argv=["figures", "--experiment", "custom", "--graphs", "line:4,LINE:4"])
+@example(argv=["figures", "--experiment", "custom", "--graphs", "line:4,line:4"])
+@example(argv=["figures", "--experiment", "fig3", "--graphs", "grid:3x3,line:4"])
+def test_figures_writes_its_report_or_nothing(tmp_path_factory, argv):
+    out_dir = tmp_path_factory.mktemp("figures")
+    code, out, err, refused = _run([*argv, "--out", str(out_dir)])
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code != 0:
+        assert out == "", argv
+        assert refused or err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+        assert list(out_dir.iterdir()) == [], argv
+        return
+    assert not refused and err == "", argv
+    written = json.loads(out, parse_constant=_reject_constant)["written"]
+    assert len(set(written)) == len(written), argv
+    # Every listed path exists, and nothing else was written.
+    assert sorted(out_dir.iterdir()) == sorted(Path(path) for path in written), argv

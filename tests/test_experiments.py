@@ -19,13 +19,10 @@ from phaseamp import (
     SCHEMA_VERSION,
     Series,
     build_histogram,
+    build_reports,
     emit_svg,
-    fig1a,
-    fig1b_fig1c,
-    fig2,
-    fig3,
-    grid_table,
     make_line,
+    parse_graph_spec,
     run_experiment,
     run_sequence,
     success_run,
@@ -33,6 +30,12 @@ from phaseamp import (
     MeasurementSequence,
 )
 from phaseamp.experiments import json_text, slug, write_files
+
+
+def reports_of(experiment: str, *graph_specs: str, **settings):
+    """The reports of one experiment, built from its config."""
+    config = ExperimentConfig(experiment, graph_specs or None, **settings)
+    return build_reports(config)[experiment]
 
 
 class TestSuccessTrajectory:
@@ -109,14 +112,14 @@ class TestSuccessTrajectory:
 
 class TestFigureFamilies:
     def test_fig1a_covers_the_line_sizes(self):
-        reports = fig1a(m_max=5)
+        reports = reports_of("fig1a", m_max=5)
         assert set(reports) == {"line:6", "line:8", "line:10", "line:12"}
         for spec, report in reports.items():
             assert report.label == spec
             assert len(report.records) == 6
 
     def test_fig1a_smaller_lines_amplify_faster(self):
-        reports = fig1a(m_max=60)
+        reports = reports_of("fig1a", m_max=60)
         finals = [
             reports[spec].records[-1].p_optimal_conditional
             for spec in ("line:6", "line:8", "line:10", "line:12")
@@ -124,48 +127,62 @@ class TestFigureFamilies:
         assert finals == sorted(finals, reverse=True)
 
     def test_fig1bc_rejects_off_benchmark_graphs(self):
-        with pytest.raises(InvalidParameterError):
-            fig1b_fig1c(("line:7",), 5)
+        for experiment in ("fig1b", "fig1c"):
+            with pytest.raises(InvalidParameterError, match=experiment):
+                reports_of(experiment, "line:7", m_max=5)
 
     def test_fig1bc_defaults(self):
-        reports = fig1b_fig1c(m_max=3)
+        reports = reports_of("fig1b", m_max=3)
         assert set(reports) == {"line:10", "grid:3x3", "grid:4x4", "starring:16"}
+
+    def test_fig1b_and_fig1c_share_their_reports(self):
+        reports = build_reports(ExperimentConfig("all", m_max=3))
+        assert list(reports) == ["fig1a", "fig1b", "fig1c", "fig2", "fig3", "grid-table"]
+        assert reports["fig1b"] == reports["fig1c"]
+        for spec, report in reports["fig1b"].items():
+            assert reports["fig1c"][spec] is report
+        assert reports["fig1a"]["line:10"] is reports["fig1b"]["line:10"]
 
     def test_trajectory_graphs_are_size_capped(self):
         with pytest.raises(ResourceLimitError):
-            fig1a(("line:29",), 5)
+            reports_of("fig1a", "line:29", m_max=5)
 
     def test_fig2_histograms_match_builder(self, benchmark_graphs):
-        out = fig2()
+        out = reports_of("fig2")
         assert set(out) == {"line:12", "grid:4x4", "starring:16"}
         direct = build_histogram(benchmark_graphs["grid:4x4"], ObjectiveKind.MAXCUT)
         assert np.array_equal(out["grid:4x4"].counts, direct.counts)
 
     def test_fig2_rejects_off_benchmark_graphs(self):
-        with pytest.raises(InvalidParameterError):
-            fig2(("line:10",))
+        with pytest.raises(InvalidParameterError, match="fig2"):
+            reports_of("fig2", "line:10")
 
 
 class TestFig3:
     def test_amplified_mode_moves_up(self):
-        dist = fig3("grid:4x4", 10)
+        dist = reports_of("fig3", "grid:4x4", successes=10)
         assert dist.m == 10
         assert dist.scale == 2**16 - 1
         assert dist.mode_theta > 2.0
 
     def test_zero_successes_reproduces_the_counts(self, grid44_histogram):
-        dist = fig3("grid:4x4", 0)
+        dist = reports_of("fig3", "grid:4x4", successes=0)
         assert np.array_equal(dist.scaled_weights, grid44_histogram.counts)
         assert dist.mode_theta == pytest.approx(math.pi / 2)
 
     def test_scaled_weights_keep_total_mass(self, grid44_histogram):
-        dist = fig3("grid:4x4", 7)
+        dist = reports_of("fig3", "grid:4x4", successes=7)
         assert float(dist.scaled_weights.sum()) == pytest.approx(
             grid44_histogram.support, rel=1e-12
         )
 
+    def test_weights_are_the_fold_after_m_successes(self, grid44_histogram):
+        dist = reports_of("fig3", successes=7)
+        state, _ = success_run(grid44_histogram, 7)
+        assert np.array_equal(dist.scaled_weights, grid44_histogram.support * state.weights)
+
     def test_csv_and_json(self):
-        dist = fig3("grid:4x4", 1)
+        dist = reports_of("fig3", "grid:4x4", successes=1)
         lines = dist.to_csv().splitlines()
         assert lines[0] == "theta,scaled_weight"
         assert len(lines) == 26
@@ -177,21 +194,25 @@ class TestFig3:
 
     def test_rejects_negative_successes(self):
         with pytest.raises(InvalidParameterError):
-            fig3("grid:4x4", -1)
+            reports_of("fig3", "grid:4x4", successes=-1)
 
 
 class TestGridTable:
-    def test_headline_numbers(self, grid44_histogram):
-        table = grid_table("grid:4x4", 10)
-        assert table.initial_optimal_probability == pytest.approx(2 / (2**16 - 1))
-        state, p_run = success_run(grid44_histogram, 10)
-        assert table.conditional_optimal_probability == pytest.approx(
-            float(state.weights[24]), rel=1e-12
-        )
-        assert table.run_probability == pytest.approx(p_run, rel=1e-12)
+    def test_headline_numbers(self):
+        # Rows 0 and m of the trajectory give the values of a direct fold, bit for bit.
+        for spec in ("grid:4x4", "grid:3x3", "line:10", "starring:8", "line:5"):
+            h = build_histogram(parse_graph_spec(spec), ObjectiveKind.MAXCUT)
+            top = int(np.max(np.nonzero(h.counts)[0]))
+            for m in (0, 1, 10, 37):
+                table = reports_of("grid-table", spec, successes=m)
+                state, p_run = success_run(h, m)
+                assert table.label == spec and table.m == m
+                assert table.initial_optimal_probability == float(h.counts[top] / h.support)
+                assert table.conditional_optimal_probability == float(state.weights[top])
+                assert table.run_probability == p_run
 
     def test_checks_ratios(self):
-        table = grid_table("grid:4x4", 10)
+        table = reports_of("grid-table", "grid:4x4", successes=10)
         assert table.checks_direct == pytest.approx(
             1 / table.initial_optimal_probability
         )
@@ -204,7 +225,7 @@ class TestGridTable:
         )
 
     def test_csv_layout(self):
-        text = grid_table("grid:4x4", 10).to_csv()
+        text = reports_of("grid-table", "grid:4x4", successes=10).to_csv()
         rows = dict(
             line.split(",", 1) for line in text.splitlines()[1:]
         )
@@ -283,6 +304,27 @@ class TestExperimentConfig:
     def test_custom_needs_graphs(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig("custom")
+
+    def test_all_is_every_experiment_but_custom(self):
+        assert ExperimentConfig("all").experiments == (
+            "fig1a", "fig1b", "fig1c", "fig2", "fig3", "grid-table"
+        )
+        assert ExperimentConfig("fig2").experiments == ("fig2",)
+
+    def test_exact_repeats_count_once(self):
+        config = ExperimentConfig("custom", ("line:5", "line:4", "line:5"))
+        assert config.graph_specs == ("line:5", "line:4")
+
+    @pytest.mark.parametrize("specs", [("line:5", "LINE:5"), ("line:5", " line:5")])
+    def test_rejects_specs_with_clashing_file_names(self, specs):
+        with pytest.raises(InvalidParameterError, match="clashing file names"):
+            ExperimentConfig("custom", specs)
+
+    @pytest.mark.parametrize("experiment", ["fig3", "grid-table"])
+    def test_one_graph_experiments_refuse_a_list(self, experiment):
+        with pytest.raises(InvalidParameterError, match=f"^{experiment} draws one graph"):
+            ExperimentConfig(experiment, ("grid:3x3", "line:5"))
+        assert ExperimentConfig(experiment, ("line:5", "line:5")).graph_specs == ("line:5",)
 
 
 class TestRunExperiment:
