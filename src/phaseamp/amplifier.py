@@ -193,9 +193,13 @@ def unconditional_tail_probability(state: ClassState, theta: float) -> float:
 def sample_assignment(
     state: ClassState,
     table: ClassTable,
+    count: int,
     rng: np.random.Generator | int | None = None,
-) -> int:
-    """Draw a level per the state weights, then a uniform member of that level."""
+) -> np.ndarray:
+    """Draw ``count`` assignments: each a level per the state weights, then a
+    uniform member of that level. The draws are one batch, grouped by level."""
+    if count < 0:
+        raise InvalidParameterError(f"sample count must be nonnegative, got {count}")
     if table.n_levels != state.histogram.n_levels:
         raise InvalidParameterError("class table does not match the histogram levels")
     if table.includes_zero != state.histogram.includes_zero:
@@ -204,7 +208,12 @@ def sample_assignment(
         raise InvalidParameterError("class table counts do not match the histogram")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     cumulative = np.cumsum(state.weights)
-    draw = gen.random() * cumulative[-1]
-    level = min(int(np.searchsorted(cumulative, draw, side="right")), state.histogram.n_levels - 1)
-    members = table.members(level)
-    return int(members[gen.integers(members.size)])
+    drawn = np.searchsorted(cumulative, gen.random(count) * cumulative[-1], side="right")
+    # A draw that rounds up to the total lands on the last level of positive weight.
+    levels = np.minimum(drawn, np.flatnonzero(state.weights)[-1])
+    samples = np.empty(count, dtype=np.int64)
+    for level in np.unique(levels):
+        at_level = levels == level
+        members = table.members(int(level))
+        samples[at_level] = members[gen.integers(members.size, size=int(at_level.sum()))]
+    return samples

@@ -151,6 +151,8 @@ class TwoPeakStats:
 
     ``run_probability_via_ratio`` evaluates the same probability through the
     mass ratio as a cross-check; it is None when the ratio is infinite.
+    ``log_run_probability`` is its natural log as a float, which stays finite
+    where the probability itself underflows to 0.0.
     """
 
     measurements: int
@@ -158,6 +160,7 @@ class TwoPeakStats:
     p_upper: Number
     run_probability: Number
     run_probability_via_ratio: Optional[Number]
+    log_run_probability: float
 
 
 def _log_peak_mass(share: Number, gain: Number, steps: int) -> float:
@@ -180,12 +183,13 @@ def two_peak_stats(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
     upper = model.q_u * model.a_u**measurements
     lower = model.q_l * model.a_l**measurements
     run_probability = (lower + upper) / 2**measurements
+    log_run = math.log(run_probability.numerator) - math.log(run_probability.denominator)
     p_upper = upper / (upper + lower)
     if lower == 0:
-        return TwoPeakStats(measurements, math.inf, p_upper, run_probability, None)
+        return TwoPeakStats(measurements, math.inf, p_upper, run_probability, None, log_run)
     ratio = upper / lower
     via_ratio = (model.a_l**measurements * model.q_l / 2**measurements) * (1 + ratio)
-    return TwoPeakStats(measurements, ratio, p_upper, run_probability, via_ratio)
+    return TwoPeakStats(measurements, ratio, p_upper, run_probability, via_ratio, log_run)
 
 
 def _two_peak_stats_log(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
@@ -198,7 +202,7 @@ def _two_peak_stats_log(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
         ratio = math.inf
     via_ratio = None if ratio == math.inf else math.exp(lower + math.log1p(ratio))
     p_upper = math.exp(upper - log_run)
-    return TwoPeakStats(measurements, ratio, p_upper, math.exp(log_run), via_ratio)
+    return TwoPeakStats(measurements, ratio, p_upper, math.exp(log_run), via_ratio, log_run)
 
 
 def two_peak_required_measurements(model: TwoPeakModel, target_ratio: Number) -> float:

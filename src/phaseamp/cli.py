@@ -5,7 +5,7 @@ graph text format). ``graph``, ``hist``, ``amplify``, ``figures`` and
 ``grid-table`` take ``--out DIR`` to also write report files; ``hist`` and
 ``figures`` take ``--format`` to select their formats. Exit codes: 0 success,
 2 invalid arguments, 3 resource limit exceeded, 4 impossible measurement
-outcome.
+outcome. A path that cannot be read or written is invalid input (exit 2).
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import amplifier, analytics, experiments, fullsim
 from .encoding import build_class_table, build_histogram, uniform_histogram
@@ -79,10 +77,14 @@ def _print_json(doc: dict) -> str:
     return text
 
 
-def _histogram_for(args: argparse.Namespace):
-    if getattr(args, "uniform", None) is not None:
+def _graph_for(args: argparse.Namespace):
+    """The graph named by ``--graph``; None for ``--uniform``."""
+    return None if args.uniform is not None else parse_graph_spec(args.graph)
+
+
+def _histogram_for(args: argparse.Namespace, graph):
+    if graph is None:
         return uniform_histogram(args.uniform), f"uniform:{args.uniform}"
-    graph = parse_graph_spec(args.graph)
     objective = ObjectiveKind.parse(args.objective)
     return (
         build_histogram(graph, objective, include_zero=args.include_zero),
@@ -115,7 +117,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_hist(args: argparse.Namespace) -> int:
-    h, label = _histogram_for(args)
+    h, label = _histogram_for(args, _graph_for(args))
     text = _print_json({"graph": label, **h.to_json_dict()})
     if args.out:
         files = [(f"hist_{slug(label)}", {"json": lambda: text, "csv": h.to_csv})]
@@ -131,12 +133,12 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
     else:
         y = amplifier.MeasurementSequence.successes(args.successes)
     theta = parse_angle(args.tail_at)
+    graph = _graph_for(args)
     if args.sample:
-        if args.graph is None:
+        if graph is None:
             raise InvalidParameterError("assignment sampling needs a graph source")
-        graph = parse_graph_spec(args.graph)
         check_limit("class_table", graph.n_vertices, "class tables")
-    h, label = _histogram_for(args)
+    h, label = _histogram_for(args, graph)
     state, probability = amplifier.run_sequence(h, y)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -156,12 +158,9 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
         },
     }
     if args.sample:
-        objective = ObjectiveKind.parse(args.objective)
-        table = build_class_table(graph, objective, include_zero=args.include_zero)
-        rng = np.random.default_rng(args.seed)
-        doc["samples"] = [
-            amplifier.sample_assignment(state, table, rng) for _ in range(args.sample)
-        ]
+        table = build_class_table(graph, args.objective, include_zero=args.include_zero)
+        samples = amplifier.sample_assignment(state, table, args.sample, args.seed)
+        doc["samples"] = samples.tolist()
     text = _print_json(doc)
     if args.out:
         write_files(args.out, [(f"amplify_{slug(label)}", {"json": lambda: text})])
@@ -228,6 +227,7 @@ def _cmd_twopeak(args: argparse.Namespace) -> int:
         "ratio": _num(stats.ratio),
         "p_upper": _num(stats.p_upper),
         "run_probability": _num(stats.run_probability),
+        "log_run_probability": stats.log_run_probability,
         "run_probability_via_ratio": _num(stats.run_probability_via_ratio),
     }
     if args.target_ratio is not None:
@@ -434,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhaseAmpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

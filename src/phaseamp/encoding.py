@@ -4,8 +4,8 @@ An assignment scoring ``f`` out of ``|E|`` edges is encoded at angle
 ``pi * f / |E|``, so scores land on the grid ``k * pi / |E|`` with the
 optimum at the top of ``[0, pi]``. Everything downstream only needs the
 number of assignments per level, which is what :class:`PhaseHistogram`
-stores. :class:`ClassTable` additionally materializes which assignment sits
-at which level so individual assignments can be sampled.
+stores. :class:`ClassTable` additionally keeps the level of every assignment
+so individual assignments can be sampled.
 """
 
 from __future__ import annotations
@@ -17,18 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidGraphError, InvalidParameterError, InvalidSizeError, check_limit
-from .graphs import Graph, ObjectiveKind, objective_value, scored_assignments
+from .graphs import Graph, ObjectiveKind, scored_assignments
 from .meta import SCHEMA_VERSION
 
 # Tolerance used whenever an external angle is compared against level positions.
 ANGLE_ATOL = 1e-12
-
-
-def phase_of(g: Graph, objective: ObjectiveKind | str, x: int) -> float:
-    """Encoded angle of one assignment."""
-    if g.edge_count < 1:
-        raise InvalidGraphError("phase encoding needs at least one edge")
-    return math.pi * objective_value(g, objective, x) / g.edge_count
 
 
 @dataclass(frozen=True)
@@ -220,7 +213,11 @@ def histogram_from_phases(phases: Sequence[float]) -> PhaseHistogram:
 
 
 class ClassTable:
-    """Which assignment sits at which level, grouped for per-level sampling."""
+    """The level of every assignment, indexed by the assignment.
+
+    Without ``includes_zero`` the all-zeros assignment is outside the support:
+    it is in no class and never a member.
+    """
 
     def __init__(self, levels: np.ndarray, n_levels: int, includes_zero: bool) -> None:
         levels = np.asarray(levels, dtype=np.int32).copy()
@@ -228,38 +225,34 @@ class ClassTable:
             raise InvalidParameterError("class table needs a 1-d level array")
         self.n_levels = int(n_levels)
         self.includes_zero = bool(includes_zero)
-        start = 0 if self.includes_zero else 1
-        included = levels[start:]
+        included = levels[self._first :]
         if included.size and (included.min() < 0 or included.max() >= self.n_levels):
             raise InvalidParameterError("level indices out of range")
-        order = np.argsort(included, kind="stable").astype(np.int64) + start
-        sizes = np.bincount(included, minlength=self.n_levels)
-        offsets = np.zeros(self.n_levels + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
         levels.flags.writeable = False
-        order.flags.writeable = False
-        offsets.flags.writeable = False
         self.levels = levels
-        self._order = order
-        self._offsets = offsets
+
+    @property
+    def _first(self) -> int:
+        """The smallest supported assignment."""
+        return 0 if self.includes_zero else 1
 
     def class_of(self, x: int) -> int:
         """Level index of one assignment."""
         if not (0 <= x < self.levels.size):
             raise InvalidParameterError(f"assignment {x} outside the table")
-        if x == 0 and not self.includes_zero:
+        if x < self._first:
             raise InvalidParameterError("the all-zeros assignment is outside the support")
         return int(self.levels[x])
 
     def class_sizes(self) -> np.ndarray:
         """Number of supported assignments per level."""
-        return np.diff(self._offsets)
+        return np.bincount(self.levels[self._first :], minlength=self.n_levels)
 
     def members(self, level: int) -> np.ndarray:
-        """All supported assignments at one level."""
+        """All supported assignments at one level, in increasing order."""
         if not (0 <= level < self.n_levels):
             raise InvalidParameterError(f"level {level} out of range")
-        return self._order[self._offsets[level] : self._offsets[level + 1]]
+        return np.flatnonzero(self.levels[self._first :] == level) + self._first
 
 
 def build_class_table(

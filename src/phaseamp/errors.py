@@ -38,7 +38,7 @@ class ResourceLimitError(PhaseAmpError):
 
 
 # Every size cap, by budget: (cap, unit). Enumeration costs 2^n time, a class
-# table 12 bytes per assignment, the dense oracle 2N amplitudes per record.
+# table 4 bytes per assignment, the dense oracle 2N amplitudes per record.
 LIMITS = {
     "enumeration": (28, "vertices"),
     "class_table": (20, "vertices"),

@@ -580,6 +580,8 @@ _EXPERIMENTS = {
 # Experiments that draw only their own graphs, and those that draw exactly one.
 _OWN_GRAPHS_ONLY = ("fig1b", "fig1c", "fig2")
 _ONE_GRAPH = ("fig3", "grid-table")
+# The formats of the experiments that do not write every format.
+_WRITES_ONLY = {"grid-table": ("csv", "json")}
 
 EXPERIMENT_IDS = (*_EXPERIMENTS, "all")
 
@@ -613,6 +615,12 @@ class ExperimentConfig:
             )
         if self.experiment == "custom" and not self.graph_specs:
             raise InvalidParameterError("custom experiments need explicit graph specs")
+        writes = {fmt for exp in self.experiments for fmt in _WRITES_ONLY.get(exp, FORMATS)}
+        if writes.isdisjoint(formats):
+            raise InvalidParameterError(
+                f"{self.experiment} writes only {','.join(sorted(writes))}, "
+                f"got formats {','.join(formats)}"
+            )
         object.__setattr__(self, "formats", formats)
         if self.graph_specs is not None:
             specs = tuple(dict.fromkeys(self.graph_specs))

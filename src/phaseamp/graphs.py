@@ -117,38 +117,21 @@ def make_star_ring(q: int) -> Graph:
     return Graph(q, tuple(edges))
 
 
-def _check_assignment(g: Graph, x: int) -> None:
-    if not (0 <= x < (1 << g.n_vertices)):
-        raise InvalidParameterError(
-            f"assignment {x} out of range for {g.n_vertices} vertices"
-        )
-
-
-def cut_value(g: Graph, x: int) -> int:
-    """Number of edges whose endpoints fall on different sides of x."""
-    _check_assignment(g, x)
-    return sum(((x >> u) ^ (x >> v)) & 1 for u, v in g.edges)
-
-
-def covered_edges(g: Graph, x: int) -> int:
-    """Number of edges with at least one endpoint in the set picked by x."""
-    _check_assignment(g, x)
-    return sum(((x >> u) | (x >> v)) & 1 for u, v in g.edges)
-
-
-def objective_value(g: Graph, objective: ObjectiveKind | str, x: int) -> int:
-    if ObjectiveKind.coerce(objective) is ObjectiveKind.MAXCUT:
-        return cut_value(g, x)
-    return covered_edges(g, x)
-
-
 def objective_values(
     g: Graph, objective: ObjectiveKind | str, xs: np.ndarray
 ) -> np.ndarray:
-    """Objective scores for an array of assignments, one edge at a time."""
+    """Objective scores for an array of assignments, one edge at a time.
+
+    Every assignment must lie in ``[0, 2**n)``.
+    """
     if g.n_vertices > 32:
         raise ResourceLimitError("vectorized scoring is limited to 32-bit assignments")
-    xs = np.asarray(xs, dtype=np.uint32)
+    xs = np.asarray(xs)
+    if xs.size and (xs.min() < 0 or xs.max() >= 1 << g.n_vertices):
+        raise InvalidParameterError(
+            f"assignments must lie in [0, 2^{g.n_vertices}), got {xs.min()} to {xs.max()}"
+        )
+    xs = xs.astype(np.uint32, copy=False)
     out = np.zeros(xs.shape, dtype=np.int64)
     is_cut = ObjectiveKind.coerce(objective) is ObjectiveKind.MAXCUT
     for u, v in g.edges:

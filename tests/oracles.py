@@ -129,6 +129,37 @@ def ref_uniform_run_exact(total: int) -> Fraction:
     return p
 
 
+def chi_square_sf(stat: float, df: int) -> float:
+    """Upper tail of the chi-square distribution, by its finite series in df."""
+    half = stat / 2.0
+    if df % 2 == 0:
+        terms = (half**i / math.factorial(i) for i in range(df // 2))
+        return math.exp(-half) * math.fsum(terms)
+    terms = (
+        math.exp(-half + (i - 0.5) * math.log(half) - math.lgamma(i + 0.5))
+        for i in range(1, (df + 1) // 2)
+    )
+    return math.erfc(math.sqrt(half)) + math.fsum(terms)
+
+
+def chi_square_p_value(observed, expected) -> float:
+    """Pearson's upper-tail p-value. Bins are pooled, smallest expectation
+    first, until each expects at least 5; a short remainder joins the last."""
+    bins: list[list[float]] = []
+    pool = [0.0, 0.0]
+    for o, e in sorted(zip(observed, expected), key=lambda pair: pair[1]):
+        pool = [pool[0] + o, pool[1] + e]
+        if pool[1] >= 5.0:
+            bins.append(pool)
+            pool = [0.0, 0.0]
+    if bins:
+        bins[-1] = [bins[-1][0] + pool[0], bins[-1][1] + pool[1]]
+    if len(bins) < 2:
+        return 1.0
+    stat = math.fsum((o - e) ** 2 / e for o, e in bins)
+    return chi_square_sf(stat, len(bins) - 1)
+
+
 def simpson(f, a: float, b: float, n: int = 2000) -> float:
     """Composite Simpson quadrature with n (even) panels."""
     if n % 2:

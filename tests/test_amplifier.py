@@ -34,6 +34,7 @@ from phaseamp import (
 )
 
 from .oracles import (
+    chi_square_p_value,
     ref_conditional_weights,
     ref_log_sequence_probability,
     ref_sequence_probability,
@@ -221,47 +222,69 @@ class TestTails:
 
 class TestSampling:
     def test_samples_follow_the_weights(self):
+        g = parse_graph_spec("grid:4x5")
+        h = build_histogram(g, ObjectiveKind.MAXCUT)
+        table = build_class_table(g, ObjectiveKind.MAXCUT)
+        state, _ = success_run(h, 10)
+        draws = sample_assignment(state, table, 20_000, np.random.default_rng(42))
+        assert draws.dtype == np.int64 and draws.shape == (20_000,)
+        observed = np.bincount(table.levels[draws], minlength=h.n_levels)
+        live = state.weights > 0
+        p = chi_square_p_value(observed[live], draws.size * state.weights[live])
+        assert p >= 1e-6
+        assert observed[~live].sum() == 0
+
+    def test_members_are_drawn_uniformly_within_a_level(self):
         g = parse_graph_spec("line:6")
         h = build_histogram(g, ObjectiveKind.MAXCUT)
         table = build_class_table(g, ObjectiveKind.MAXCUT)
-        state, _ = success_run(h, 2)
-        rng = np.random.default_rng(42)
-        draws = [sample_assignment(state, table, rng) for _ in range(4000)]
-        freq = np.bincount(
-            [table.class_of(x) for x in draws], minlength=h.n_levels
-        ) / len(draws)
-        assert np.max(np.abs(freq - state.weights)) < 0.03
+        state, _ = success_run(h, 1)
+        draws = sample_assignment(state, table, 20_000, 8)
+        for level in range(h.n_levels):
+            members = table.members(level)
+            hits = draws[table.levels[draws] == level]
+            observed = [int((hits == x).sum()) for x in members]
+            assert sum(observed) == hits.size
+            expected = [hits.size / members.size] * members.size
+            assert chi_square_p_value(observed, expected) >= 1e-6
 
     def test_sampled_assignments_live_on_their_level(self):
         g = parse_graph_spec("grid:2x3")
         h = build_histogram(g, ObjectiveKind.MAXCUT)
         table = build_class_table(g, ObjectiveKind.MAXCUT)
         state, _ = run_sequence(h, MeasurementSequence((1, 0, 1)))
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            x = sample_assignment(state, table, rng)
-            level = table.class_of(x)
-            assert state.weights[level] > 0.0
+        draws = sample_assignment(state, table, 200, np.random.default_rng(3))
+        assert np.all((draws > 0) & (draws < 1 << 6))
+        assert np.all(state.weights[table.levels[draws]] > 0.0)
 
     def test_seed_reproducibility(self):
         g = make_line(5)
         h = build_histogram(g, ObjectiveKind.MAXCUT)
         table = build_class_table(g, ObjectiveKind.MAXCUT)
         state, _ = success_run(h, 1)
-        a = [sample_assignment(state, table, 11) for _ in range(5)]
-        b = [sample_assignment(state, table, 11) for _ in range(5)]
-        assert a == b
+        a = sample_assignment(state, table, 50, 11)
+        assert np.array_equal(a, sample_assignment(state, table, 50, 11))
+        assert not np.array_equal(a, sample_assignment(state, table, 50, 12))
+
+    def test_zero_and_negative_counts(self):
+        g = make_line(5)
+        table = build_class_table(g, ObjectiveKind.MAXCUT)
+        state = initial_state(build_histogram(g, ObjectiveKind.MAXCUT))
+        empty = sample_assignment(state, table, 0, 0)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        with pytest.raises(InvalidParameterError, match="got -1"):
+            sample_assignment(state, table, -1, 0)
 
     def test_rejects_mismatched_table(self, grid44_histogram):
         g = make_line(5)
         table = build_class_table(g, ObjectiveKind.MAXCUT)
         state = initial_state(grid44_histogram)
         with pytest.raises(InvalidParameterError):
-            sample_assignment(state, table, 0)
+            sample_assignment(state, table, 1, 0)
 
     def test_rejects_support_disagreement(self):
         g = make_line(5)
         h = build_histogram(g, ObjectiveKind.MAXCUT, include_zero=True)
         table = build_class_table(g, ObjectiveKind.MAXCUT, include_zero=False)
         with pytest.raises(InvalidParameterError):
-            sample_assignment(initial_state(h), table, 0)
+            sample_assignment(initial_state(h), table, 1, 0)

@@ -163,6 +163,26 @@ class TestTwoPeakStats:
             _, p_run = success_run(h, m) if m else (None, 1.0)
             assert p_run == pytest.approx(float(stats.run_probability), rel=1e-12)
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 20])
+    def test_log_run_probability_is_the_log_of_the_exact_fraction(self, worked_model, m):
+        stats = two_peak_stats(worked_model, m)
+        assert isinstance(stats.log_run_probability, float)
+        assert stats.log_run_probability == pytest.approx(
+            math.log(stats.run_probability), rel=1e-14, abs=1e-15
+        )
+
+    def test_log_run_probability_where_the_probability_underflows(self):
+        model = TwoPeakModel.from_angles(Fraction(1, 8), math.pi / 3, 2 * math.pi / 3)
+        stats = two_peak_stats(model, 5000)
+        assert stats.run_probability == 0.0
+        # The same run in exact arithmetic on the gains' binary values.
+        upper = Fraction(1, 8) * (Fraction(model.a_u) / 2) ** 5000
+        lower = Fraction(7, 8) * (Fraction(model.a_l) / 2) ** 5000
+        exact = upper + lower
+        want = math.log(exact.numerator) - math.log(exact.denominator)
+        assert stats.log_run_probability == pytest.approx(want, rel=1e-12)
+        assert -1441 < stats.log_run_probability < -1440
+
     def test_required_measurements_worked_numbers(self):
         model = TwoPeakModel.from_gains(Fraction(1, 8), Fraction(1, 8), Fraction(2))
         assert two_peak_required_measurements(model, Fraction(16, 7)) == pytest.approx(1.0)

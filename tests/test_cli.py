@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from phaseamp import cli, experiments
+from phaseamp import cli, experiments, graphs
 from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
 from phaseamp.errors import LIMITS, InvalidParameterError
 from phaseamp.graphs import format_graph_file, make_line
@@ -268,6 +268,30 @@ class TestAmplifyVerb:
         assert out == ""
         assert err == "error: class tables capped at 20 vertices, got 21\n"
 
+    def test_sampling_is_one_draw_call_on_one_read_of_the_graph(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = {"sample_assignment": 0, "read_graph_file": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli.amplifier, "sample_assignment")
+        counted(graphs, "read_graph_file")
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph_file(make_line(6)))
+        argv = ["amplify", "--graph", str(path), "--successes", "3", "--sample", "500"]
+        doc = run_json(capsys, *argv)
+        assert calls == {"sample_assignment": 1, "read_graph_file": 1}
+        assert len(doc["samples"]) == 500
+        assert all(type(x) is int and 0 < x < 1 << 6 for x in doc["samples"])
+
     def test_writes_report(self, capsys, tmp_path):
         run_json(
             capsys,
@@ -466,6 +490,17 @@ class TestFiguresVerb:
             "custom_line_5.csv", "custom_line_5.json", "custom.svg"
         ]
 
+    def test_run_that_would_write_nothing_is_refused(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ["--experiment", "grid-table", "--format", "svg", "--out", str(out_dir)]
+        code, out, err = run_cli(capsys, "figures", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid-table writes only csv,json, got formats svg\n"
+        assert not out_dir.exists()
+        # Other experiments write SVG, so the same format is fine for all of them.
+        assert experiments.ExperimentConfig("all", formats=("svg",)).formats == ("svg",)
+
     def test_unknown_experiment_is_argparse_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["figures", "--experiment", "fig9", "--out", str(tmp_path)])
@@ -542,6 +577,7 @@ class TestTwopeakVerb:
         )
         assert doc["ratio"] == {"exact": "16/7", "value": pytest.approx(16 / 7)}
         assert doc["run_probability"]["exact"] == "23/128"
+        assert doc["log_run_probability"] == pytest.approx(math.log(23 / 128), rel=1e-15)
         assert doc["run_probability_via_ratio"]["exact"] == "23/128"
         assert doc["q_l"]["exact"] == "7/8"
 
@@ -610,6 +646,9 @@ class TestTwopeakVerb:
         assert doc["p_upper"] == 1.0
         assert 0.0 <= doc["run_probability"] < 1e-300
         assert doc["run_probability_via_ratio"] is None
+        # The probability underflows; its log, about -1440 (10^-625.6), does not.
+        log_p = math.log(1 / 8) + 5000 * math.log(0.75)
+        assert doc["log_run_probability"] == pytest.approx(log_p, rel=1e-12)
 
 
 class TestUniformAsymptoticsVerb:
@@ -759,6 +798,27 @@ class TestRejectedInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    def test_unreadable_paths_are_exit_2(self, capsys, tmp_path):
+        # A directory as a graph file, and an existing file as the out dir.
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out_dir = tmp_path / "out"
+        for argv, path in [
+            (["hist", "--graph", str(tmp_path)], tmp_path),
+            (["graph", str(tmp_path)], tmp_path),
+            (["figures", "--experiment", "custom", "--graphs", str(tmp_path),
+              "--out", str(out_dir)], tmp_path),
+            (["figures", "--experiment", "fig3", "--out", str(taken)], taken),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(path) in err
+        assert sorted(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "keep\n"
 
 
 class TestTopLevel:

@@ -18,10 +18,14 @@ from hypothesis import strategies as st
 
 from phaseamp.cli import main
 from phaseamp.errors import LIMITS
+from phaseamp.graphs import ObjectiveKind, parse_graph_spec
 
+from .oracles import ref_objective
+
+# "." is a directory, which no graph file can be.
 GRAPHS = (
     "line:2", "line:7", "grid:2x3", "grid:3x3", "starring:5", "starring:9",
-    "line:1", "grid:0x3", "line:29", "nosuch:4",
+    "line:1", "grid:0x3", "line:29", "nosuch:4", ".",
 )
 GRIDS = ("grid:3x3", "grid:4x4", "line:10", "starring:8", "line:29", "grid:2x0")
 OBJECTIVES = ("maxcut", "covered-edges", "cover", "bogus")
@@ -32,11 +36,11 @@ ANGLES = (
 FRACTIONS = ("0", "1", "1/16", "1/8", "1/2", "7/8", "3/2", "2", "-1/4", "1/0", "x")
 FLOATS = ("0", "1e-320", "1e-9", "0.05", "0.5", "1", "1.5", "-0.1", "nan", "inf")
 LENGTHS = st.integers(min_value=-2, max_value=2000)
-# Graph specs for figures: benchmark graphs, others, refused ones, and two that
-# give the same file name.
+# Graph specs for figures: benchmark graphs, others, refused ones (a directory
+# among them), and two that give the same file name.
 FIGURE_GRAPHS = (
     "line:10", "grid:3x3", "grid:4x4", "line:6", "line:4", "LINE:4", "grid:2x3",
-    "nosuch:4", "line:29", "",
+    "nosuch:4", "line:29", "", ".",
 )
 EXPERIMENTS = ("fig1a", "fig1b", "fig1c", "fig2", "fig3", "grid-table", "custom", "all", "fig9")
 
@@ -167,6 +171,8 @@ def test_every_argv_gives_a_report_or_a_one_line_error(argv):
             assert err.endswith(f"got {qubits}\n"), (argv, err)
     if verb == "amplify" and int(_flag(argv, "--sample", "0")) < 0:
         assert code == 2 and "--sample" in err, (argv, err)
+    if verb == "hist" and _flag(argv, "--graph", None) == ".":
+        assert code == 2 and "'.'" in err, (argv, err)
     if code != 0:
         return
     assert err == "", argv
@@ -174,6 +180,20 @@ def test_every_argv_gives_a_report_or_a_one_line_error(argv):
         doc = json.loads(out, parse_constant=_reject_constant)
         if verb == "verify-oracle":
             assert doc["cases"] >= 1, argv
+        if verb == "amplify" and int(_flag(argv, "--sample", "0")) > 0:
+            _check_samples(argv, doc)
+
+
+def _check_samples(argv: list[str], doc: dict) -> None:
+    """K samples, each a supported assignment on a level of positive weight."""
+    samples = doc["samples"]
+    assert len(samples) == int(_flag(argv, "--sample", None)), argv
+    g = parse_graph_spec(_flag(argv, "--graph", None))
+    kind = ObjectiveKind.parse(_flag(argv, "--objective", "maxcut")).value
+    first = 0 if "--include-zero" in argv else 1
+    for x in samples:
+        assert type(x) is int and first <= x < 1 << g.n_vertices, (argv, x)
+        assert doc["weights"][ref_objective(kind, g.n_vertices, g.edges, x)] > 0, (argv, x)
 
 
 FIGURES_ARGVS = _verb(
@@ -187,19 +207,31 @@ FIGURES_ARGVS = _verb(
 
 
 @settings(max_examples=200, deadline=None)
-@given(argv=FIGURES_ARGVS)
-@example(argv=["figures", "--experiment", "all", "--graphs", "line:6"])
-@example(argv=["figures", "--experiment", "custom", "--graphs", "line:4,LINE:4"])
-@example(argv=["figures", "--experiment", "custom", "--graphs", "line:4,line:4"])
-@example(argv=["figures", "--experiment", "fig3", "--graphs", "grid:3x3,line:4"])
-def test_figures_writes_its_report_or_nothing(tmp_path_factory, argv):
+@given(argv=FIGURES_ARGVS, out_is_a_file=st.booleans())
+@example(argv=["figures", "--experiment", "all", "--graphs", "line:6"], out_is_a_file=False)
+@example(argv=["figures", "--experiment", "custom", "--graphs", "line:4,LINE:4"],
+         out_is_a_file=False)
+@example(argv=["figures", "--experiment", "custom", "--graphs", "line:4,line:4"],
+         out_is_a_file=False)
+@example(argv=["figures", "--experiment", "fig3", "--graphs", "grid:3x3,line:4"],
+         out_is_a_file=False)
+@example(argv=["figures", "--experiment", "custom", "--graphs", "."], out_is_a_file=False)
+@example(argv=["figures", "--experiment", "fig3"], out_is_a_file=True)
+def test_figures_writes_its_report_or_nothing(tmp_path_factory, argv, out_is_a_file):
     out_dir = tmp_path_factory.mktemp("figures")
-    code, out, err, refused = _run([*argv, "--out", str(out_dir)])
+    target = out_dir / "taken" if out_is_a_file else out_dir
+    if out_is_a_file:
+        target.write_text("")
+    code, out, err, refused = _run([*argv, "--out", str(target)])
     assert code in (0, 2, 3, 4), (argv, code, err)
+    if "." in _flag(argv, "--graphs", "").split(",") or out_is_a_file:
+        # An unreadable graph file or an unwritable out dir is never a report.
+        assert code != 0, (argv, out_is_a_file)
     if code != 0:
         assert out == "", argv
         assert refused or err.count("\n") == 1 and err.startswith("error: "), (argv, err)
-        assert list(out_dir.iterdir()) == [], argv
+        assert list(out_dir.iterdir()) == ([target] if out_is_a_file else []), argv
+        assert not out_is_a_file or target.read_text() == "", argv
         return
     assert not refused and err == "", argv
     written = json.loads(out, parse_constant=_reject_constant)["written"]

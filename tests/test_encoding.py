@@ -22,23 +22,24 @@ from phaseamp import (
     histogram_from_phases,
     make_grid,
     make_line,
-    objective_value,
+    objective_values,
     parse_graph_spec,
-    phase_of,
     shift_phases,
     two_peak_histogram,
     uniform_histogram,
 )
 
-from .oracles import ref_level_counts, ref_tail_mass
+from .oracles import ref_level_counts, ref_objective, ref_tail_mass
 
 
 class TestPhaseOf:
     def test_grid_positions(self):
+        # An assignment's angle is the angle of the level its score indexes.
         g = make_line(4)
-        assert phase_of(g, ObjectiveKind.MAXCUT, 0b0101) == pytest.approx(math.pi)
-        assert phase_of(g, ObjectiveKind.MAXCUT, 0b0001) == pytest.approx(math.pi / 3)
-        assert phase_of(g, ObjectiveKind.MAXCUT, 0) == 0.0
+        h = build_histogram(g, ObjectiveKind.MAXCUT, include_zero=True)
+        levels = objective_values(g, ObjectiveKind.MAXCUT, [0b0101, 0b0001, 0])
+        assert h.thetas[levels].tolist() == pytest.approx([math.pi, math.pi / 3, 0.0])
+        assert h.thetas[0] == 0.0
 
 
 class TestBuildHistogram:
@@ -251,9 +252,7 @@ class TestClassTable:
         table = build_class_table(g, ObjectiveKind.MAXCUT)
         rng = np.random.default_rng(7)
         for x in rng.integers(1, 1 << 8, size=1000):
-            assert table.class_of(int(x)) == objective_value(
-                g, ObjectiveKind.MAXCUT, int(x)
-            )
+            assert table.class_of(int(x)) == ref_objective("maxcut", 8, g.edges, int(x))
 
     def test_members_partition_the_support(self):
         g = make_line(6)
@@ -268,7 +267,21 @@ class TestClassTable:
         table = build_class_table(g, ObjectiveKind.MAXCUT)
         for level in range(table.n_levels):
             for x in table.members(level):
-                assert objective_value(g, ObjectiveKind.MAXCUT, int(x)) == level
+                assert ref_objective("maxcut", 6, g.edges, int(x)) == level
+
+    @pytest.mark.parametrize("kind", ["maxcut", "covered-edges"])
+    @pytest.mark.parametrize("include_zero", [False, True])
+    def test_members_and_sizes_match_the_oracle(self, kind, include_zero):
+        g = parse_graph_spec("grid:2x3")
+        table = build_class_table(g, ObjectiveKind.parse(kind), include_zero=include_zero)
+        first = 0 if include_zero else 1
+        for level in range(table.n_levels):
+            expected = [
+                x for x in range(first, 1 << 6)
+                if ref_objective(kind, 6, g.edges, x) == level
+            ]
+            assert table.members(level).tolist() == expected
+            assert table.class_sizes()[level] == len(expected)
 
     def test_levels_span_enumeration_chunks(self, monkeypatch):
         # Small chunks make the shared enumerator hand the table several pieces.
@@ -276,8 +289,15 @@ class TestClassTable:
         g = parse_graph_spec("grid:2x4")
         table = build_class_table(g, ObjectiveKind.COVERED_EDGES, include_zero=True)
         assert table.levels.tolist() == [
-            objective_value(g, ObjectiveKind.COVERED_EDGES, x) for x in range(1 << 8)
+            ref_objective("covered-edges", 8, g.edges, x) for x in range(1 << 8)
         ]
+
+    def test_table_is_one_read_only_level_per_assignment(self):
+        table = build_class_table(make_grid(2, 4), ObjectiveKind.MAXCUT)
+        assert table.levels.dtype == np.int32
+        assert table.levels.nbytes == 4 * (1 << 8)
+        assert not table.levels.flags.writeable
+        assert set(vars(table)) == {"levels", "n_levels", "includes_zero"}
 
     def test_all_zeros_outside_support(self):
         table = build_class_table(make_line(5), ObjectiveKind.MAXCUT)

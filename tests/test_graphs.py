@@ -13,13 +13,10 @@ from phaseamp import (
     ObjectiveKind,
     ResourceLimitError,
     brute_force_optima,
-    covered_edges,
-    cut_value,
     format_graph_file,
     make_grid,
     make_line,
     make_star_ring,
-    objective_value,
     objective_values,
     parse_graph_spec,
     read_graph_file,
@@ -98,39 +95,37 @@ class TestObjectives:
     def test_matches_bitstring_oracle(self, kind, spec):
         g = parse_graph_spec(spec)
         objective = ObjectiveKind.parse(kind)
-        for x in range(1 << g.n_vertices):
-            assert objective_value(g, objective, x) == ref_objective(
-                kind, g.n_vertices, g.edges, x
-            )
+        xs = np.arange(1 << g.n_vertices)
+        assert objective_values(g, objective, xs).tolist() == [
+            ref_objective(kind, g.n_vertices, g.edges, int(x)) for x in xs
+        ]
 
     def test_cut_value_examples(self):
         g = make_line(4)
-        assert cut_value(g, 0b0101) == 3
-        assert cut_value(g, 0b0000) == 0
-        assert cut_value(g, 0b1111) == 0
-        assert cut_value(g, 0b0001) == 1
+        xs = [0b0101, 0b0000, 0b1111, 0b0001]
+        assert objective_values(g, ObjectiveKind.MAXCUT, xs).tolist() == [3, 0, 0, 1]
 
     def test_covered_edges_examples(self):
         g = make_line(4)
-        assert covered_edges(g, 0b0000) == 0
-        assert covered_edges(g, 0b0010) == 2
-        assert covered_edges(g, 0b1001) == 2
-        assert covered_edges(g, 0b1111) == 3
+        xs = [0b0000, 0b0010, 0b1001, 0b1111]
+        assert objective_values(g, ObjectiveKind.COVERED_EDGES, xs).tolist() == [0, 2, 2, 3]
 
     def test_assignment_out_of_range(self):
-        g = make_line(3)
-        with pytest.raises(InvalidParameterError):
-            cut_value(g, 1 << 3)
-        with pytest.raises(InvalidParameterError):
-            covered_edges(g, -1)
+        g = make_line(4)
+        for bad in (16, -1):
+            for xs in ([bad], [1, bad, 3], np.array([1, bad, 3])):
+                with pytest.raises(InvalidParameterError, match=r"\[0, 2\^4\)"):
+                    objective_values(g, ObjectiveKind.MAXCUT, xs)
 
     def test_vectorized_matches_scalar(self):
+        # Any shape and order of assignments scores like the per-assignment oracle.
         g = make_star_ring(7)
-        xs = np.arange(1 << 7, dtype=np.uint32)
+        xs = np.random.default_rng(5).permutation(1 << 7).reshape(8, 16)
         for objective in ObjectiveKind:
             vals = objective_values(g, objective, xs)
-            assert vals.tolist() == [
-                objective_value(g, objective, int(x)) for x in xs
+            assert vals.shape == xs.shape
+            assert vals.ravel().tolist() == [
+                ref_objective(objective.value, 7, g.edges, int(x)) for x in xs.ravel()
             ]
 
 
@@ -204,18 +199,19 @@ class TestObjectiveKind:
 
     def test_scoring_accepts_string_spellings(self):
         g = make_line(4)
-        assert objective_value(g, "maxcut", 0b0101) == cut_value(g, 0b0101)
-        assert objective_value(g, "cover", 0b0001) == covered_edges(g, 0b0001)
         xs = np.arange(16)
-        assert np.array_equal(
-            objective_values(g, "maxcut", xs),
-            objective_values(g, ObjectiveKind.MAXCUT, xs),
-        )
+        for text, objective in (
+            ("maxcut", ObjectiveKind.MAXCUT),
+            ("cover", ObjectiveKind.COVERED_EDGES),
+        ):
+            assert np.array_equal(
+                objective_values(g, text, xs), objective_values(g, objective, xs)
+            )
 
     def test_scoring_rejects_unknown_objectives(self):
         g = make_line(4)
         with pytest.raises(InvalidParameterError):
-            objective_value(g, "min-cut", 0b0101)
+            objective_values(g, "min-cut", [0b0101])
         with pytest.raises(InvalidParameterError):
             objective_values(g, None, np.arange(4))
 
