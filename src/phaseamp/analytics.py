@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .encoding import ANGLE_ATOL, PhaseHistogram
-from .errors import InvalidParameterError, NoAmplificationError
+from .errors import InvalidParameterError, NoAmplificationError, check_limit
 
 Number = Union[int, float, Fraction]
 
@@ -180,6 +180,7 @@ def two_peak_stats(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
         raise InvalidParameterError("measurement count must be nonnegative")
     if not all(isinstance(v, (int, Fraction)) for v in (model.q_u, model.a_l, model.a_u)):
         return _two_peak_stats_log(model, measurements)
+    check_limit("exact_digits", _exact_digits(model, measurements), "exact two-peak results")
     upper = model.q_u * model.a_u**measurements
     lower = model.q_l * model.a_l**measurements
     run_probability = (lower + upper) / 2**measurements
@@ -190,6 +191,24 @@ def two_peak_stats(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
     ratio = upper / lower
     via_ratio = (model.a_l**measurements * model.q_l / 2**measurements) * (1 + ratio)
     return TwoPeakStats(measurements, ratio, p_upper, run_probability, via_ratio, log_run)
+
+
+def _exact_digits(model: TwoPeakModel, measurements: int) -> int:
+    """Decimal digits of the largest numerator or denominator of the exact stats.
+
+    The ratio is ``q_u/q_l * (a_u/a_l)**m``; the run probability puts
+    ``q_u * (a_u/2)**m`` and ``q_l * (a_l/2)**m`` over a common denominator.
+    Each grows by at most one factor of its base per measurement, so the
+    estimate is ``m`` times the log of the larger base, without any power.
+    """
+    up, low = Fraction(model.a_u) / 2, Fraction(model.a_l) / 2
+    common = math.lcm(up.denominator, low.denominator)
+    base = max(common, *(f.numerator * common // f.denominator for f in (up, low)))
+    if low:
+        ratio = up / low
+        base = max(base, ratio.numerator, ratio.denominator)
+    shares = 2 * Fraction(model.q_u).denominator
+    return math.floor(measurements * math.log10(base) + math.log10(shares)) + 1
 
 
 def _two_peak_stats_log(model: TwoPeakModel, measurements: int) -> TwoPeakStats:

@@ -61,7 +61,11 @@ def parse_fraction(text: str) -> Fraction:
 def _num(value) -> object:
     """JSON form of a number; exact rationals carry their exact string."""
     if isinstance(value, Fraction):
-        return {"exact": f"{value.numerator}/{value.denominator}", "value": float(value)}
+        exact = f"{value.numerator}/{value.denominator}"
+        try:
+            return {"exact": exact, "value": float(value)}
+        except OverflowError:  # finite, but past the float range
+            return {"exact": exact, "value": None}
     if value is None:
         return None
     v = float(value)
@@ -70,11 +74,20 @@ def _num(value) -> object:
     return v
 
 
-def _print_json(doc: dict) -> str:
-    """Print a report to stdout; returns its text for a file copy."""
-    text = json_text(doc)
+def _print_json(doc: dict) -> None:
+    sys.stdout.write(json_text(doc))
+
+
+def _emit(
+    text: str, out: str | None, stem: str, renders: dict, formats: tuple[str, ...] | None = None
+) -> None:
+    """Write the report files into ``out`` when it is given, then print ``text``.
+
+    The files go first, so a run that cannot write them prints nothing.
+    """
+    if out:
+        write_files(out, [(stem, renders)], formats)
     sys.stdout.write(text)
-    return text
 
 
 def _graph_for(args: argparse.Namespace):
@@ -95,33 +108,31 @@ def _histogram_for(args: argparse.Namespace, graph):
 def _cmd_graph(args: argparse.Namespace) -> int:
     g = parse_graph_spec(args.spec)
     text = format_graph_file(g)
+    report = text
     if args.optima:
         objective = ObjectiveKind.parse(args.objective)
         best, maximizers = brute_force_optima(g, objective)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "graph": args.spec,
-            "objective": objective.value,
-            "n_vertices": g.n_vertices,
-            "n_edges": g.edge_count,
-            "best": best,
-            "n_maximizers": len(maximizers),
-            "maximizers": maximizers[:64],
-        }
-        _print_json(doc)
-    else:
-        sys.stdout.write(text)
-    if args.out:
-        write_files(args.out, [(slug(args.spec), {"graph": lambda: text})])
+        report = json_text(
+            {
+                "schema": SCHEMA_VERSION,
+                "graph": args.spec,
+                "objective": objective.value,
+                "n_vertices": g.n_vertices,
+                "n_edges": g.edge_count,
+                "best": best,
+                "n_maximizers": len(maximizers),
+                "maximizers": maximizers[:64],
+            }
+        )
+    _emit(report, args.out, slug(args.spec), {"graph": lambda: text})
     return 0
 
 
 def _cmd_hist(args: argparse.Namespace) -> int:
     h, label = _histogram_for(args, _graph_for(args))
-    text = _print_json({"graph": label, **h.to_json_dict()})
-    if args.out:
-        files = [(f"hist_{slug(label)}", {"json": lambda: text, "csv": h.to_csv})]
-        write_files(args.out, files, args.format)
+    text = json_text({"graph": label, **h.to_json_dict()})
+    renders = {"json": lambda: text, "csv": h.to_csv}
+    _emit(text, args.out, f"hist_{slug(label)}", renders, args.format)
     return 0
 
 
@@ -161,9 +172,8 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
         table = build_class_table(graph, args.objective, include_zero=args.include_zero)
         samples = amplifier.sample_assignment(state, table, args.sample, args.seed)
         doc["samples"] = samples.tolist()
-    text = _print_json(doc)
-    if args.out:
-        write_files(args.out, [(f"amplify_{slug(label)}", {"json": lambda: text})])
+    text = json_text(doc)
+    _emit(text, args.out, f"amplify_{slug(label)}", {"json": lambda: text})
     return 0
 
 
@@ -295,9 +305,8 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
 def _cmd_grid_table(args: argparse.Namespace) -> int:
     config = experiments.ExperimentConfig("grid-table", (args.grid,), successes=args.successes)
     table = experiments.build_reports(config)["grid-table"]
-    text = _print_json(table.to_json_dict())
-    if args.out:
-        write_files(args.out, [("grid_table", {"json": lambda: text})])
+    text = json_text(table.to_json_dict())
+    _emit(text, args.out, "grid_table", {"json": lambda: text})
     return 0
 
 

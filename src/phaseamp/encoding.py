@@ -16,8 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidGraphError, InvalidParameterError, InvalidSizeError, check_limit
-from .graphs import Graph, ObjectiveKind, scored_assignments
+from .errors import (
+    LIMITS,
+    InvalidGraphError,
+    InvalidParameterError,
+    InvalidSizeError,
+    ResourceLimitError,
+    check_limit,
+)
+from .graphs import Graph, ObjectiveKind, frontier_order, scored_assignments
 from .meta import SCHEMA_VERSION
 
 # Tolerance used whenever an external angle is compared against level positions.
@@ -128,24 +135,103 @@ def build_histogram(
     The all-zeros assignment is dropped by default: it scores 0, carries no
     information, and the dynamics start from the uniform state over the rest.
     Levels with zero count are kept so level index equals objective score.
+
+    The counts come from a frontier DP (:func:`_frontier_counts`) when its
+    largest table fits ``LIMITS["frontier"]`` and its table work is below the
+    ``2**n * |E|`` edge scores of enumeration; otherwise every assignment is
+    enumerated, up to ``LIMITS["enumeration"]`` vertices.
     """
-    chunks = scored_assignments(g, objective, "histogram enumeration")
+    check_limit("histogram", g.n_vertices, "histograms")
     if g.edge_count < 1:
         raise InvalidGraphError("phase encoding needs at least one edge")
-    n_edges = g.edge_count
-    counts = np.zeros(n_edges + 1, dtype=np.int64)
-    for _, vals in chunks:
-        counts += np.bincount(vals, minlength=n_edges + 1)
+    is_cut = ObjectiveKind.coerce(objective) is ObjectiveKind.MAXCUT
+    steps = frontier_order(g)
+    largest, work = _frontier_cost(steps)
+    table_cap, table_unit = LIMITS["frontier"]
+    if largest <= table_cap and work < (1 << g.n_vertices) * g.edge_count:
+        counts = _frontier_counts(steps, is_cut)
+    else:
+        vertex_cap, vertex_unit = LIMITS["enumeration"]
+        if g.n_vertices > vertex_cap:
+            raise ResourceLimitError(
+                f"histograms capped at a frontier table of {table_cap} {table_unit}"
+                f" (got {largest}) or enumeration of {vertex_cap} {vertex_unit}"
+                f" (got {g.n_vertices})"
+            )
+        counts = np.zeros(g.edge_count + 1, dtype=np.int64)
+        for _, vals in scored_assignments(g, objective, "histogram enumeration"):
+            counts += np.bincount(vals, minlength=g.edge_count + 1)
     if not include_zero:
         counts[0] -= 1
-    numerators = tuple(range(n_edges + 1))
+    numerators = tuple(range(g.edge_count + 1))
     return PhaseHistogram(
-        _grid_thetas(n_edges, numerators),
+        _grid_thetas(g.edge_count, numerators),
         counts,
-        denominator=n_edges,
+        denominator=g.edge_count,
         numerators=numerators,
         includes_zero=include_zero,
     )
+
+
+# One step of :func:`frontier_order`: the vertex placed, the frontier vertices
+# it shares an edge with, and the frontier it leaves behind.
+_Step = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+# Placing a vertex also costs its share of the greedy order and a few numpy
+# calls whatever the table size: measured at about as long as 2^13 table
+# entries. Below about 14 vertices this makes enumeration the faster route.
+_VERTEX_WORK = 1 << 13
+
+
+def _frontier_cost(steps: list[_Step]) -> tuple[int, int]:
+    """The frontier DP's largest table, in entries, and its summed table work.
+
+    A step's table has one axis per frontier vertex plus the new one, and one
+    column per level reached so far; its work is that size times the number
+    of passes over it, one per closed edge and one to sum vertices out, plus
+    the fixed ``_VERTEX_WORK``.
+    """
+    largest = work = 0
+    n_levels = 1
+    width = 0
+    for _, closed, after in steps:
+        n_levels += len(closed)
+        size = (1 << (width + 1)) * n_levels
+        largest = max(largest, size)
+        work += size * (len(closed) + 1) + _VERTEX_WORK
+        width = len(after)
+    return largest, work
+
+
+def _frontier_counts(steps: list[_Step], is_cut: bool) -> np.ndarray:
+    """Assignments per level by a transfer-matrix pass over the frontier steps.
+
+    The table maps each assignment of the frontier to its counts per level
+    over the vertices placed so far, with one axis of length 2 per frontier
+    vertex (in placement order) and the levels last. Placing a vertex adds its
+    axis, shifts each row by the edges it closes, and sums out the vertices
+    that leave the frontier.
+    """
+    table = np.ones(1, dtype=np.int64)
+    frontier: tuple[int, ...] = ()
+    for v, closed, after in steps:
+        table = np.stack((table, table), axis=-2)
+        axes = frontier + (v,)
+        for u in closed:
+            n_levels = table.shape[-1]
+            grown = np.zeros(table.shape[:-1] + (n_levels + 1,), dtype=np.int64)
+            for xu in (0, 1):
+                for xv in (0, 1):
+                    block = [slice(None)] * (table.ndim - 1)
+                    block[axes.index(u)], block[-1] = xu, xv
+                    shift = (xu ^ xv) if is_cut else (xu | xv)
+                    grown[(*block, slice(shift, shift + n_levels))] = table[tuple(block)]
+            table = grown
+        leaving = tuple(i for i, u in enumerate(axes) if u not in after)
+        if leaving:
+            table = table.sum(axis=leaving)
+        frontier = after
+    return table
 
 
 def uniform_histogram(n_support: int) -> PhaseHistogram:

@@ -37,13 +37,19 @@ class ResourceLimitError(PhaseAmpError):
     exit_code = 3
 
 
-# Every size cap, by budget: (cap, unit). Enumeration costs 2^n time, a class
-# table 4 bytes per assignment, the dense oracle 2N amplitudes per record.
+# Every size cap, by budget: (cap, unit). Histogram counts are int64, so all
+# 2^n assignments of a histogram must fit; its frontier DP keeps a table
+# of 8-byte counts, enumeration costs 2^n time, a class table 4 bytes per
+# assignment, the dense oracle 2N amplitudes per record. Exact two-peak results
+# stop at Python's default limit on the digits of an int printed as a string.
 LIMITS = {
+    "histogram": (62, "vertices"),
+    "frontier": (1 << 22, "table entries"),
     "enumeration": (28, "vertices"),
     "class_table": (20, "vertices"),
     "dense_support": (1024, "assignments"),
     "dense_sequence": (8, "outcomes"),
+    "exact_digits": (4300, "digits"),
 }
 
 

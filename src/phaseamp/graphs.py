@@ -122,11 +122,15 @@ def objective_values(
 ) -> np.ndarray:
     """Objective scores for an array of assignments, one edge at a time.
 
-    Every assignment must lie in ``[0, 2**n)``.
+    Every assignment must be an integer in ``[0, 2**n)``; floats count when
+    their values are whole.
     """
     if g.n_vertices > 32:
         raise ResourceLimitError("vectorized scoring is limited to 32-bit assignments")
     xs = np.asarray(xs)
+    if xs.size and xs.dtype.kind not in "biu":
+        if xs.dtype.kind != "f" or not np.all(xs == np.trunc(xs)):
+            raise InvalidParameterError(f"assignments must be integers, got {xs.dtype} values")
     if xs.size and (xs.min() < 0 or xs.max() >= 1 << g.n_vertices):
         raise InvalidParameterError(
             f"assignments must lie in [0, 2^{g.n_vertices}), got {xs.min()} to {xs.max()}"
@@ -153,6 +157,38 @@ def scored_assignments(
     starts = range(0, total, _CHUNK)
     chunks = (np.arange(s, min(s + _CHUNK, total), dtype=np.uint32) for s in starts)
     return ((xs, objective_values(g, objective, xs)) for xs in chunks)
+
+
+def frontier_order(g: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """A greedy min-frontier vertex order: each vertex, its placed neighbours, its frontier.
+
+    The frontier is the placed vertices that still have an unplaced neighbour.
+    Each step places the vertex that leaves the smallest frontier, the smallest
+    index on ties. A step lists the vertex, its neighbours placed before it
+    (all on the frontier) and the frontier after it, both in placement order.
+    """
+    neighbours: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    unplaced = [len(nbrs) for nbrs in neighbours]  # unplaced neighbours per vertex
+    placed = [False] * g.n_vertices
+    frontier: list[int] = []
+    order = []
+
+    def size_after(v: int) -> int:
+        closing = sum(1 for u in neighbours[v] if placed[u] and unplaced[u] == 1)
+        return len(frontier) + (unplaced[v] > 0) - closing
+
+    for _ in range(g.n_vertices):
+        v = min((v for v in range(g.n_vertices) if not placed[v]), key=size_after)
+        joined = tuple(u for u in frontier if v in neighbours[u])
+        placed[v] = True
+        for u in neighbours[v]:
+            unplaced[u] -= 1
+        frontier = [u for u in frontier + [v] if unplaced[u] > 0]
+        order.append((v, joined, tuple(frontier)))
+    return order
 
 
 def brute_force_optima(g: Graph, objective: ObjectiveKind | str) -> tuple[int, list[int]]:

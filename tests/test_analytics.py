@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from phaseamp import analytics
 from phaseamp import (
     InvalidParameterError,
     NoAmplificationError,
+    ResourceLimitError,
     TwoPeakModel,
     band_bound,
     bound_from_success_run,
@@ -182,6 +184,33 @@ class TestTwoPeakStats:
         want = math.log(exact.numerator) - math.log(exact.denominator)
         assert stats.log_run_probability == pytest.approx(want, rel=1e-12)
         assert -1441 < stats.log_run_probability < -1440
+
+    def test_digit_estimate_bounds_the_exact_results(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            q_u = Fraction(int(rng.integers(1, 16)), 16)
+            a_l = Fraction(int(rng.integers(0, 21)), int(rng.integers(21, 41)))
+            a_u = Fraction(int(rng.integers(41, 81)), int(rng.integers(41, 81)))
+            if not 1 < a_u <= 2:
+                continue
+            model = TwoPeakModel.from_gains(q_u, a_l, a_u)
+            m = int(rng.integers(0, 60))
+            stats = two_peak_stats(model, m)
+            values = (stats.ratio, stats.p_upper, stats.run_probability)
+            digits = max(
+                len(str(part))
+                for v in values
+                if isinstance(v, Fraction)
+                for part in (v.numerator, v.denominator)
+            )
+            assert digits <= analytics._exact_digits(model, m) <= digits + 3
+
+    def test_exact_results_past_the_digit_cap(self, worked_model):
+        # The ratio 16^m / 7 has 4300 digits at m = 3570, the last run taken.
+        assert two_peak_stats(worked_model, 3570).ratio == Fraction(16**3570, 7)
+        for m in (3572, 1_000_000):
+            with pytest.raises(ResourceLimitError, match="capped at 4300 digits"):
+                two_peak_stats(worked_model, m)
 
     def test_required_measurements_worked_numbers(self):
         model = TwoPeakModel.from_gains(Fraction(1, 8), Fraction(1, 8), Fraction(2))

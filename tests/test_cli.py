@@ -634,6 +634,23 @@ class TestTwopeakVerb:
         assert doc["run_probability"] == pytest.approx(0.125, rel=1e-12)
         assert doc["run_probability_via_ratio"] is None
 
+    def test_exact_ratio_past_the_float_range(self, capsys):
+        doc = run_json(
+            capsys, "twopeak", "--q-u", "1/8", "--a-l", "1/8", "--a-u", "2",
+            "--measurements", "300",
+        )
+        assert doc["ratio"] == {"exact": f"{16**300}/7", "value": None}
+        assert doc["p_upper"]["value"] == 1.0
+
+    def test_exact_result_past_the_digit_cap_is_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "twopeak", "--q-u", "1/8", "--a-l", "1/8", "--a-u", "2",
+            "--measurements", "1000000",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and f"{LIMITS['exact_digits'][0]} digits" in err
+
     def test_ratio_past_the_float_range(self, capsys):
         code, out, err = run_cli(
             capsys, "twopeak", "--q-u", "1/8", "--alpha-l", "pi/3", "--alpha-u", "2pi/3",
@@ -821,6 +838,26 @@ class TestRejectedInput:
         assert taken.read_text() == "keep\n"
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hist", "--graph", "line:3"],
+            ["amplify", "--graph", "line:3", "--successes", "2"],
+            ["graph", "line:3"],
+            ["graph", "line:3", "--optima"],
+            ["grid-table", "--grid", "grid:2x2"],
+        ],
+    )
+    def test_out_onto_a_file_prints_nothing(self, capsys, tmp_path, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        code, out, err = run_cli(capsys, *argv, "--out", str(taken))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert taken.read_text() == "keep\n"
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -843,21 +880,46 @@ class TestTopLevel:
         assert strict_json(capsys.readouterr().out)["m"] == 2
 
     def test_resource_limit_is_exit_3(self, capsys):
-        code, _, err = run_cli(capsys, "hist", "--graph", "line:40")
+        code, out, err = run_cli(capsys, "hist", "--graph", "line:63")
         assert code == 3
-        assert "error:" in err
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_graphs_past_the_enumeration_cap(self, capsys, tmp_path):
+        doc = run_json(capsys, "hist", "--graph", "line:40", "--include-zero")
+        assert [level["count"] for level in doc["levels"]] == [
+            2 * math.comb(39, k) for k in range(40)
+        ]
+        doc = run_json(capsys, "hist", "--graph", "grid:6x6", "--objective", "covered-edges")
+        assert doc["support"] == 2**36 - 1
+        assert sum(level["k"] * level["count"] for level in doc["levels"]) == 3 * 60 * 2**34
+        # Too wide for a frontier table and too many vertices to enumerate.
+        complete = graphs.Graph(29, tuple((u, v) for v in range(29) for u in range(v)))
+        graph_file = tmp_path / "k29.graph"
+        graph_file.write_text(format_graph_file(complete))
+        code, out, err = run_cli(capsys, "hist", "--graph", str(graph_file))
+        assert code == 3 and out == ""
+        assert f"frontier table of {LIMITS['frontier'][0]} " in err
+        assert f"enumeration of {LIMITS['enumeration'][0]} vertices" in err
 
     def test_readme_states_the_size_caps(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = " ".join(readme.read_text().split())
         caps = re.search(
-            r"histograms, optima and trajectory experiments enumerate graphs of at "
-            r"most (\d+) vertices, class tables and assignment sampling at most (\d+); "
-            r"the dense oracle is capped at N=(\d+) / (\d+) measurements",
+            r"a histogram counts the assignments of graphs of at most (\d+) vertices: "
+            r"by a frontier DP when its largest table holds at most (\d+) counts and "
+            r"its table work is below the 2\^n·\|E\| edge scores of enumeration, and "
+            r"otherwise by enumeration, for graphs of at most (\d+) vertices; optima "
+            r"enumerate graphs of at most (\d+) vertices, class tables and assignment "
+            r"sampling at most (\d+); the dense oracle is capped at N=(\d+) / (\d+) "
+            r"measurements; exact `twopeak` results at (\d+) digits",
             text,
         )
         assert caps is not None
-        budgets = ("enumeration", "class_table", "dense_support", "dense_sequence")
+        budgets = (
+            "histogram", "frontier", "enumeration", "enumeration", "class_table",
+            "dense_support", "dense_sequence", "exact_digits",
+        )
         assert tuple(int(v) for v in caps.groups()) == tuple(
             LIMITS[b][0] for b in budgets
         )

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from phaseamp import graphs
+from phaseamp import encoding, graphs
 from phaseamp import (
+    Graph,
     InvalidParameterError,
     InvalidSizeError,
     ObjectiveKind,
@@ -28,6 +30,7 @@ from phaseamp import (
     two_peak_histogram,
     uniform_histogram,
 )
+from phaseamp.errors import LIMITS
 
 from .oracles import ref_level_counts, ref_objective, ref_tail_mass
 
@@ -74,13 +77,108 @@ class TestBuildHistogram:
         assert int(grid44_histogram.counts[23]) == 0
 
     def test_enumeration_limit(self):
-        g = make_line(29)
-        with pytest.raises(ResourceLimitError):
+        # K_29: too wide for a frontier table and past the enumeration cap.
+        g = Graph(29, tuple(itertools.combinations(range(29), 2)))
+        with pytest.raises(ResourceLimitError) as err:
             build_histogram(g, ObjectiveKind.MAXCUT)
+        table_cap, vertex_cap = LIMITS["frontier"][0], LIMITS["enumeration"][0]
+        assert f"frontier table of {table_cap} " in str(err.value)
+        assert f"enumeration of {vertex_cap} vertices (got 29)" in str(err.value)
+
+    def test_histogram_vertex_limit(self):
+        # With the all-zeros assignment, 63 vertices give 2^63 assignments: past int64.
+        assert LIMITS["histogram"] == (62, "vertices")
+        assert build_histogram(make_line(62), ObjectiveKind.MAXCUT).support == 2**62 - 1
+        with pytest.raises(ResourceLimitError, match="capped at 62 vertices"):
+            build_histogram(make_line(63), ObjectiveKind.MAXCUT)
 
     def test_weights_sum_to_one(self, benchmark_histograms):
         for h in benchmark_histograms.values():
             assert math.fsum(h.weights().tolist()) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestFrontierRoute:
+    """The frontier DP against enumeration and against identities past its cap."""
+
+    @pytest.mark.parametrize("q", [29, 40])
+    def test_line_counts_are_binomial(self, q):
+        # A cut of a path picks which of its q - 1 edges are cut, times 2 sides.
+        h = build_histogram(make_line(q), ObjectiveKind.MAXCUT, include_zero=True)
+        assert h.counts.tolist() == [2 * math.comb(q - 1, k) for k in range(q)]
+
+    @pytest.mark.parametrize("spec", ["grid:6x6", "grid:7x8"])
+    def test_grid_identities(self, spec):
+        g = parse_graph_spec(spec)
+        n, n_edges = g.n_vertices, g.edge_count
+        cut = build_histogram(g, ObjectiveKind.MAXCUT)
+        cover = build_histogram(g, ObjectiveKind.COVERED_EDGES)
+        levels = range(n_edges + 1)
+        for h in (cut, cover):
+            assert h.support == 2**n - 1
+            assert h.n_levels == n_edges + 1
+        # Each edge is cut by half of all assignments and covered by three quarters.
+        assert sum(k * int(c) for k, c in zip(levels, cut.counts)) == n_edges * 2 ** (n - 1)
+        assert sum(k * int(c) for k, c in zip(levels, cover.counts)) == 3 * n_edges * 2 ** (n - 2)
+        # Complementing an assignment keeps its cut; only level 0 loses its partner.
+        assert int(cut.counts[0]) == 1 and all(int(c) % 2 == 0 for c in cut.counts[1:])
+        # Without isolated vertices only the all-zeros assignment covers no edge.
+        assert int(cover.counts[-1]) > 0 and int(cover.counts[0]) == 0
+
+    def test_sparse_graphs_skip_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(encoding, "scored_assignments", refuse)
+        for spec in ("line:20", "grid:4x5", "starring:20", "grid:3x7", "grid:4x4"):
+            g = parse_graph_spec(spec)
+            for kind in ObjectiveKind:
+                assert build_histogram(g, kind).support == 2**g.n_vertices - 1
+
+    def test_small_graphs_enumerate(self, monkeypatch):
+        # Below about 14 vertices the DP's fixed cost per vertex outweighs enumeration.
+        def refuse(*args):
+            raise AssertionError("frontier route")
+
+        monkeypatch.setattr(encoding, "_frontier_counts", refuse)
+        for spec in ("line:10", "grid:3x3", "starring:12"):
+            g = parse_graph_spec(spec)
+            assert build_histogram(g, ObjectiveKind.MAXCUT).support == 2**g.n_vertices - 1
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_complete_graph_enumerates(self, monkeypatch, n):
+        # K_12's table fits, but its work is past enumeration's; K_16's table does not fit.
+        g = Graph(n, tuple(itertools.combinations(range(n), 2)))
+        largest, work = encoding._frontier_cost(graphs.frontier_order(g))
+        fits = largest <= LIMITS["frontier"][0]
+        assert fits == (n == 12)
+        assert work > (1 << n) * g.edge_count
+        expected = {
+            kind: build_histogram(g, kind, include_zero=True).counts for kind in ObjectiveKind
+        }
+
+        def refuse(*args):
+            raise AssertionError("frontier route")
+
+        monkeypatch.setattr(encoding, "_frontier_counts", refuse)
+        for kind in ObjectiveKind:
+            h = build_histogram(g, kind, include_zero=True)
+            assert np.array_equal(h.counts, expected[kind])
+        # An assignment of K_n with k ones cuts k(n - k) edges.
+        binomial = np.zeros(g.edge_count + 1, dtype=np.int64)
+        for k in range(n + 1):
+            binomial[k * (n - k)] += math.comb(n, k)
+        assert np.array_equal(expected[ObjectiveKind.MAXCUT], binomial)
+
+    @pytest.mark.parametrize("spec", ["line:6", "grid:3x4", "starring:9", "grid:2x5"])
+    def test_frontier_counts_match_enumeration(self, spec):
+        g = parse_graph_spec(spec)
+        steps = graphs.frontier_order(g)
+        for kind in ObjectiveKind:
+            enumerated = np.zeros(g.edge_count + 1, dtype=np.int64)
+            for _, vals in graphs.scored_assignments(g, kind, "test"):
+                enumerated += np.bincount(vals, minlength=g.edge_count + 1)
+            counts = encoding._frontier_counts(steps, kind is ObjectiveKind.MAXCUT)
+            assert np.array_equal(counts, enumerated)
 
 
 class TestHistogramValidation:

@@ -144,8 +144,11 @@ class TestFigureFamilies:
         assert reports["fig1a"]["line:10"] is reports["fig1b"]["line:10"]
 
     def test_trajectory_graphs_are_size_capped(self):
-        with pytest.raises(ResourceLimitError):
-            reports_of("fig1a", "line:29", m_max=5)
+        # Trajectories take the histogram's caps: line:40 is past enumeration,
+        # not past the frontier DP; line:63 is past the histogram vertex cap.
+        assert reports_of("fig1a", "line:40", m_max=5)["line:40"].records[-1].m == 5
+        with pytest.raises(ResourceLimitError, match="capped at 62 vertices"):
+            reports_of("fig1a", "line:63", m_max=5)
 
     def test_fig2_histograms_match_builder(self, benchmark_graphs):
         out = reports_of("fig2")

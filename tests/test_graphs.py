@@ -22,7 +22,7 @@ from phaseamp import (
     read_graph_file,
     write_graph_file,
 )
-from phaseamp.graphs import scored_assignments
+from phaseamp.graphs import frontier_order, scored_assignments
 
 from .oracles import ref_objective, ref_optima
 
@@ -117,6 +117,15 @@ class TestObjectives:
                 with pytest.raises(InvalidParameterError, match=r"\[0, 2\^4\)"):
                     objective_values(g, ObjectiveKind.MAXCUT, xs)
 
+    def test_non_integer_assignments(self):
+        g = make_line(4)
+        for xs in ([1.5, 2.9], np.array([1.0, np.nan]), np.array(["1"]), [1, 2.5]):
+            with pytest.raises(InvalidParameterError, match="must be integers"):
+                objective_values(g, ObjectiveKind.MAXCUT, xs)
+        # Whole floats and the empty input (a float array) still score.
+        assert objective_values(g, ObjectiveKind.MAXCUT, [5.0, 1.0]).tolist() == [3, 1]
+        assert objective_values(g, ObjectiveKind.MAXCUT, []).tolist() == []
+
     def test_vectorized_matches_scalar(self):
         # Any shape and order of assignments scores like the per-assignment oracle.
         g = make_star_ring(7)
@@ -167,6 +176,34 @@ class TestBruteForce:
         g = Graph(29, tuple((i, i + 1) for i in range(28)))
         with pytest.raises(ResourceLimitError):
             brute_force_optima(g, ObjectiveKind.MAXCUT)
+
+
+class TestFrontierOrder:
+    def test_path_is_placed_from_its_first_vertex(self):
+        order = frontier_order(make_line(5))
+        assert order == [
+            (0, (), (0,)), (1, (0,), (1,)), (2, (1,), (2,)), (3, (2,), (3,)), (4, (3,), ()),
+        ]
+
+    @pytest.mark.parametrize("spec", ["grid:3x4", "starring:7", "line:2"])
+    def test_steps_follow_the_definition(self, spec):
+        g = parse_graph_spec(spec)
+        order = frontier_order(g)
+        assert sorted(v for v, _, _ in order) == list(range(g.n_vertices))
+        placed: list[int] = []
+        for v, joined, frontier in order:
+            assert list(joined) == [u for u in placed if (min(u, v), max(u, v)) in g.edges]
+            placed.append(v)
+            open_ = [
+                u for u in placed
+                if any(w not in placed for e in g.edges if u in e for w in e if w != u)
+            ]
+            assert list(frontier) == open_
+
+    def test_isolated_vertices_go_first(self):
+        # An isolated vertex never joins the frontier, so it beats vertex 1.
+        g = Graph(4, ((1, 2),))
+        assert frontier_order(g) == [(0, (), ()), (3, (), ()), (1, (), (1,)), (2, (1,), ())]
 
 
 class TestScoredAssignments:

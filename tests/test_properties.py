@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from phaseamp import encoding
 from phaseamp import (
     Graph,
     ImpossibleOutcomeError,
@@ -35,7 +36,9 @@ from phaseamp import (
     two_peak_stats,
 )
 
-from .oracles import ref_objective
+from phaseamp.graphs import frontier_order
+
+from .oracles import ref_level_counts, ref_objective
 
 # Angle spans stay configurable per property: some invariants need every
 # branch probability strictly positive, which [eps, pi - eps] guarantees.
@@ -76,14 +79,13 @@ sequences = st.lists(st.sampled_from((0, 1)), min_size=0, max_size=6).map(
 )
 
 
-def random_graphs():
+def random_graphs(max_vertices: int = 8, max_edges: int | None = None):
     @st.composite
     def build(draw):
-        n = draw(st.integers(min_value=2, max_value=8))
+        n = draw(st.integers(min_value=2, max_value=max_vertices))
         pairs = list(itertools.combinations(range(n), 2))
-        edges = draw(
-            st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True)
-        )
+        size = len(pairs) if max_edges is None else min(len(pairs), max_edges)
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=size, unique=True))
         return Graph(n, tuple(edges))
 
     return build()
@@ -251,6 +253,21 @@ class TestGraphHistograms:
             h = build_histogram(g, objective)
             table = build_class_table(g, objective)
             assert np.array_equal(table.class_sizes(), h.counts)
+
+    @given(g=random_graphs(max_vertices=12, max_edges=30))
+    @settings(deadline=None, max_examples=40)
+    def test_frontier_counts_match_the_oracle(self, g):
+        steps = frontier_order(g)
+        for objective in ObjectiveKind:
+            counts = encoding._frontier_counts(steps, objective is ObjectiveKind.MAXCUT)
+            for include_zero in (False, True):
+                ref = ref_level_counts(objective.value, g.n_vertices, g.edges, include_zero)
+                expected = [ref.get(k, 0) for k in range(g.edge_count + 1)]
+                dp = counts.tolist()
+                dp[0] -= not include_zero  # the all-zeros assignment scores 0
+                assert dp == expected
+                h = build_histogram(g, objective, include_zero=include_zero)
+                assert h.counts.tolist() == expected
 
     @given(g=random_graphs(), data=st.data())
     @settings(deadline=None, max_examples=60)
