@@ -13,12 +13,10 @@ from .amplifier import (
     ClassState,
     MeasurementSequence,
     initial_state,
-    outcome_probability,
     run_sequence,
     sample_assignment,
     sequence_probability,
     step,
-    success_probability,
     success_run,
     tail_probability,
     unconditional_tail_probability,
@@ -50,7 +48,6 @@ from .encoding import (
     build_class_table,
     build_histogram,
     histogram_from_phases,
-    shift_phases,
     two_peak_histogram,
     uniform_histogram,
 )
@@ -95,7 +92,6 @@ from .graphs import (
     objective_values,
     parse_graph_spec,
     read_graph_file,
-    write_graph_file,
 )
 from .meta import SCHEMA_VERSION, __version__
 
@@ -112,7 +108,6 @@ __all__ = [
     "brute_force_optima",
     "format_graph_file",
     "read_graph_file",
-    "write_graph_file",
     "parse_graph_spec",
     # encoding
     "PhaseHistogram",
@@ -120,15 +115,12 @@ __all__ = [
     "build_histogram",
     "uniform_histogram",
     "two_peak_histogram",
-    "shift_phases",
     "histogram_from_phases",
     "build_class_table",
     # amplifier
     "MeasurementSequence",
     "ClassState",
     "initial_state",
-    "outcome_probability",
-    "success_probability",
     "step",
     "run_sequence",
     "success_run",

@@ -13,9 +13,9 @@ probability has the closed form
     p(y) = sum_k g_k (1 - cos theta_k)^q (1 + cos theta_k)^(m-q) / (2^m N)
 
 which depends on ``y`` only through ``(q, m)``; :func:`sequence_probability`
-evaluates it directly, while :func:`run_sequence` reaches the same number by
-folding :func:`step`. The two routes are kept separate on purpose so either
-can check the other.
+evaluates its log directly, while :func:`run_sequence` reaches the same
+probability by folding :func:`step`. The two routes are kept separate on
+purpose so either can check the other.
 """
 
 from __future__ import annotations
@@ -113,18 +113,6 @@ def _branch_factors(h: PhaseHistogram, outcome: int) -> np.ndarray:
     return (1.0 - c) / 2.0 if outcome else (1.0 + c) / 2.0
 
 
-def outcome_probability(state: ClassState, outcome: int) -> float:
-    """Probability that the next reference measurement records ``outcome``."""
-    if outcome not in (0, 1):
-        raise InvalidParameterError("outcome must be 0 or 1")
-    return float((state.weights * _branch_factors(state.histogram, outcome)).sum())
-
-
-def success_probability(state: ClassState) -> float:
-    """Probability that the next reference measurement records a 1."""
-    return outcome_probability(state, 1)
-
-
 def step(state: ClassState, outcome: int) -> tuple[ClassState, float]:
     """Condition the state on one more recorded outcome.
 
@@ -164,10 +152,12 @@ def _scaled_log1p(exponent: int, x: np.ndarray) -> np.ndarray:
 
 
 def sequence_probability(h: PhaseHistogram, y: MeasurementSequence) -> float:
-    """Closed-form p(y); depends on the sequence only through (ones, length).
+    """Closed-form log p(y); depends on the sequence only through (ones, length).
 
     The sum runs in log space (a log-sum-exp over the occupied levels), so
-    neither ``2^m`` nor the moments overflow or underflow on long records.
+    neither ``2^m`` nor the moments overflow or underflow on long records,
+    and a record far below the float range keeps a finite log. An impossible
+    record gives ``-inf``.
     """
     q, r = y.q, y.m - y.q
     live = h.counts > 0
@@ -175,9 +165,9 @@ def sequence_probability(h: PhaseHistogram, y: MeasurementSequence) -> float:
     log_terms = np.log(h.counts[live]) + _scaled_log1p(q, -c) + _scaled_log1p(r, c)
     top = float(log_terms.max())
     if top == -math.inf:
-        return 0.0
+        return -math.inf
     log_moment = top + math.log(float(np.exp(log_terms - top).sum()))
-    return math.exp(log_moment - y.m * math.log(2.0) - math.log(h.support))
+    return log_moment - y.m * math.log(2.0) - math.log(h.support)
 
 
 def tail_probability(state: ClassState, theta: float) -> float:
@@ -200,10 +190,6 @@ def sample_assignment(
     uniform member of that level. The draws are one batch, grouped by level."""
     if count < 0:
         raise InvalidParameterError(f"sample count must be nonnegative, got {count}")
-    if table.n_levels != state.histogram.n_levels:
-        raise InvalidParameterError("class table does not match the histogram levels")
-    if table.includes_zero != state.histogram.includes_zero:
-        raise InvalidParameterError("class table and histogram disagree on the support")
     if not np.array_equal(table.class_sizes(), state.histogram.counts):
         raise InvalidParameterError("class table counts do not match the histogram")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)

@@ -90,6 +90,11 @@ def gaussian_tail_estimate(theta: float, total: int) -> float:
 # Two-peak filter model
 
 
+def _check_gains(a_l: Number, a_u: Number) -> None:
+    if not 0 <= a_l < 1 < a_u <= 2:
+        raise InvalidParameterError("per-step gains must satisfy 0 <= a_l < 1 < a_u <= 2")
+
+
 @dataclass(frozen=True)
 class TwoPeakModel:
     """Spectrum with all mass at two angles, one below pi/2 and one above.
@@ -114,8 +119,7 @@ class TwoPeakModel:
             raise InvalidParameterError(
                 "peak angles must straddle pi/2 inside [0, pi]"
             )
-        if not 0 <= self.a_l < 1 < self.a_u <= 2:
-            raise InvalidParameterError("per-step gains must satisfy 0 <= a_l < 1 < a_u <= 2")
+        _check_gains(self.a_l, self.a_u)
         for angle, gain in ((self.alpha_l, self.a_l), (self.alpha_u, self.a_u)):
             if abs((1.0 - math.cos(angle)) - float(gain)) > 1e-9:
                 raise InvalidParameterError("angles and per-step gains disagree")
@@ -136,6 +140,7 @@ class TwoPeakModel:
 
     @classmethod
     def from_gains(cls, q_u: Number, a_l: Number, a_u: Number) -> "TwoPeakModel":
+        _check_gains(a_l, a_u)  # before acos reads them as floats
         return cls(
             q_u,
             math.acos(1.0 - float(a_l)),
@@ -234,9 +239,16 @@ def two_peak_required_measurements(model: TwoPeakModel, target_ratio: Number) ->
         raise NoAmplificationError(
             "the lower peak dies after one measurement; any count works"
         )
-    start = float(target_ratio * model.q_l / model.q_u)
-    gain = float(model.a_u) / float(model.a_l)
-    return math.log2(start) / math.log2(gain)
+    start = target_ratio * model.q_l / model.q_u
+    return _log2(start) / _log2(model.a_u / model.a_l)
+
+
+def _log2(x: Number) -> float:
+    """log2 of a positive number; an exact rational goes through its integer
+    parts, so it stays finite past the float range."""
+    if isinstance(x, Fraction):
+        return math.log2(x.numerator) - math.log2(x.denominator)
+    return math.log2(x)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +267,6 @@ class PeakWindow:
     z_max: float
     width: float
     interval: tuple[float, float]
-    estimate: Optional[float] = None
 
 
 def peak_window(q: int, m: int) -> PeakWindow:
@@ -327,11 +338,13 @@ def band_bound(p_single_01: float, half_width: float) -> float:
     """
     if not 0.0 < half_width < math.pi / 2:
         raise InvalidParameterError("band half-width must lie strictly inside (0, pi/2)")
-    if p_single_01 < 0:
-        raise InvalidParameterError("record probability must be nonnegative")
+    # Each level adds sin^2(theta)/4 <= 1/4 with weight w_k, so p(01) <= 1/4.
+    if not 0.0 <= p_single_01 <= 0.25:
+        raise InvalidParameterError(f"p(01) must lie in [0, 1/4], got {p_single_01}")
     cos_sq = math.cos(half_width) ** 2
     sin_sq = math.sin(half_width) ** 2
-    return max(0.0, (4.0 * p_single_01 - cos_sq) / sin_sq)
+    # Clamped to [0, 1]: at p(01) = 1/4 rounding can lift the quotient past 1.
+    return min(1.0, max(0.0, (4.0 * p_single_01 - cos_sq) / sin_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +364,6 @@ class SamplingComparison:
 
     p_amplified: float
     p_sampled: float
-
-    @property
-    def checks_saved(self) -> float:
-        """Expected direct draws per surviving amplified run."""
-        if self.p_amplified == 0.0:
-            return math.inf if self.p_sampled > 0.0 else math.nan
-        return self.p_sampled / self.p_amplified
 
 
 def sampling_comparison(h: PhaseHistogram, theta: float, m: int) -> SamplingComparison:

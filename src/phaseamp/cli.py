@@ -74,6 +74,11 @@ def _num(value) -> object:
     return v
 
 
+def _probability(value: float, positive: bool) -> float | None:
+    """A probability for JSON: None where a positive value underflowed to 0.0."""
+    return None if value == 0.0 and positive else value
+
+
 def _print_json(doc: dict) -> None:
     sys.stdout.write(json_text(doc))
 
@@ -98,7 +103,7 @@ def _graph_for(args: argparse.Namespace):
 def _histogram_for(args: argparse.Namespace, graph):
     if graph is None:
         return uniform_histogram(args.uniform), f"uniform:{args.uniform}"
-    objective = ObjectiveKind.parse(args.objective)
+    objective = ObjectiveKind.coerce(args.objective)
     return (
         build_histogram(graph, objective, include_zero=args.include_zero),
         args.graph,
@@ -110,7 +115,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     text = format_graph_file(g)
     report = text
     if args.optima:
-        objective = ObjectiveKind.parse(args.objective)
+        objective = ObjectiveKind.coerce(args.objective)
         best, maximizers = brute_force_optima(g, objective)
         report = json_text(
             {
@@ -150,22 +155,30 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
             raise InvalidParameterError("assignment sampling needs a graph source")
         check_limit("class_table", graph.n_vertices, "class tables")
     h, label = _histogram_for(args, graph)
+    # The fold refuses an impossible record, so the record's probability is positive.
     state, probability = amplifier.run_sequence(h, y)
+    closed_form_log = amplifier.sequence_probability(h, y)
+    conditional = amplifier.tail_probability(state, theta)
     doc = {
         "schema": SCHEMA_VERSION,
         "graph": label,
         "sequence": str(y),
         "m": y.m,
         "q": y.q,
-        "probability": probability,
+        "probability": _probability(probability, True),
         "log_probability": state.log_sequence_probability,
-        "closed_form_probability": amplifier.sequence_probability(h, y),
+        "closed_form_probability": _probability(
+            math.exp(closed_form_log), closed_form_log > -math.inf
+        ),
+        "closed_form_log_probability": closed_form_log,
         "weights": [float(w) for w in state.weights],
         "thetas": [float(t) for t in h.thetas],
         "tail": {
             "theta": theta,
-            "conditional": amplifier.tail_probability(state, theta),
-            "unconditional": amplifier.unconditional_tail_probability(state, theta),
+            "conditional": conditional,
+            "unconditional": _probability(
+                amplifier.unconditional_tail_probability(state, theta), conditional > 0.0
+            ),
         },
     }
     if args.sample:

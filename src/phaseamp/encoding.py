@@ -35,12 +35,10 @@ ANGLE_ATOL = 1e-12
 class PhaseHistogram:
     """Counts of assignments per phase level.
 
-    ``thetas`` are strictly increasing angles in radians. Builders keep them
-    inside ``[0, pi]``; :func:`shift_phases` may move them outside that range,
-    which is fine because the weight algebra only ever uses their cosines.
-    When the levels sit on an exact grid ``k * pi / denominator``, the integer
-    ``k`` per level is kept in ``numerators`` so that level identity never
-    rests on float equality.
+    ``thetas`` are strictly increasing angles in radians. When the levels
+    sit on an exact grid ``k * pi / denominator``, the integer ``k`` per
+    level is kept in ``numerators`` so that level identity never rests on
+    float equality.
     """
 
     thetas: np.ndarray
@@ -268,25 +266,6 @@ def two_peak_histogram(model, n_support: int) -> PhaseHistogram:
     )
 
 
-def shift_phases(h: PhaseHistogram, offset: float) -> PhaseHistogram:
-    """Shift every level by a constant angle; counts are untouched.
-
-    A nonzero shift moves the levels off the exact grid, so the rational
-    level labels are dropped. The shifted angles may leave ``[0, pi]``.
-    """
-    if offset == 0:
-        return h
-    if not math.isfinite(offset):
-        raise InvalidParameterError("phase shift must be finite")
-    return PhaseHistogram(
-        h.thetas + offset,
-        h.counts,
-        denominator=None,
-        numerators=None,
-        includes_zero=h.includes_zero,
-    )
-
-
 def histogram_from_phases(phases: Sequence[float]) -> PhaseHistogram:
     """Group a raw list of angles in [0, pi] into a histogram."""
     arr = np.asarray(phases, dtype=np.float64)
@@ -321,14 +300,6 @@ class ClassTable:
     def _first(self) -> int:
         """The smallest supported assignment."""
         return 0 if self.includes_zero else 1
-
-    def class_of(self, x: int) -> int:
-        """Level index of one assignment."""
-        if not (0 <= x < self.levels.size):
-            raise InvalidParameterError(f"assignment {x} outside the table")
-        if x < self._first:
-            raise InvalidParameterError("the all-zeros assignment is outside the support")
-        return int(self.levels[x])
 
     def class_sizes(self) -> np.ndarray:
         """Number of supported assignments per level."""

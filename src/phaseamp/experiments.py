@@ -303,6 +303,9 @@ class Series:
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# Chart size in pixels, and the number of axis ticks aimed for.
+_WIDTH, _HEIGHT = 720, 480
+_TICKS = 5
 
 
 def _svgnum(v: float) -> str:
@@ -310,13 +313,13 @@ def _svgnum(v: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (_TICKS - 1)
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0):
-        if span / (mult * magnitude) <= target + 0.5:
+        if span / (mult * magnitude) <= _TICKS + 0.5:
             step = mult * magnitude
             break
     first = math.ceil(lo / step - 1e-9) * step
@@ -333,15 +336,13 @@ def emit_svg(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render a deterministic, self-contained line or bar chart."""
     if not series:
         raise InvalidParameterError("nothing to plot: empty series set")
     left, right, top, bottom = 64, 16, 36, 48
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
 
     x_lo = min(min(s.xs) for s in series)
     x_hi = max(max(s.xs) for s in series)
@@ -374,13 +375,13 @@ def emit_svg(
         return top + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{_svgnum(width / 2)}" y="22" text-anchor="middle" '
+            f'<text x="{_svgnum(_WIDTH / 2)}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#222222">{escape(title)}</text>'
         )
     # Gridlines and axis labels.
@@ -410,7 +411,7 @@ def emit_svg(
     )
     if xlabel:
         parts.append(
-            f'<text x="{_svgnum(left + plot_w / 2)}" y="{height - 10}" text-anchor="middle" '
+            f'<text x="{_svgnum(left + plot_w / 2)}" y="{_HEIGHT - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" fill="#222222">{escape(xlabel)}</text>'
         )
     if ylabel:

@@ -33,21 +33,15 @@ class ObjectiveKind(enum.Enum):
     COVERED_EDGES = "covered-edges"
 
     @classmethod
-    def parse(cls, text: str) -> "ObjectiveKind":
-        key = text.strip().lower().replace("_", "-")
+    def coerce(cls, value: "ObjectiveKind | str") -> "ObjectiveKind":
+        """Accept a member or any spelling of one; reject anything else."""
+        if isinstance(value, cls):
+            return value
+        key = value.strip().lower().replace("_", "-") if isinstance(value, str) else None
         if key in ("maxcut", "max-cut", "cut"):
             return cls.MAXCUT
         if key in ("covered-edges", "coverededges", "cover", "vertex-cover"):
             return cls.COVERED_EDGES
-        raise InvalidParameterError(f"unknown objective: {text!r}")
-
-    @classmethod
-    def coerce(cls, value: "ObjectiveKind | str") -> "ObjectiveKind":
-        """Accept a member or its string spelling; reject anything else."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls.parse(value)
         raise InvalidParameterError(f"unknown objective: {value!r}")
 
 
@@ -210,10 +204,6 @@ def format_graph_file(g: Graph) -> str:
     lines = [f"graph {g.n_vertices} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
-
-
-def write_graph_file(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_graph_file(g))
 
 
 def parse_graph_text(text: str) -> Graph:

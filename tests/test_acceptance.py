@@ -90,7 +90,7 @@ def test_criterion_02_grid_conditional_optimal_after_10():
 def test_criterion_03_grid_run_probability():
     h = _grid44()
     _, p_fold = success_run(h, 10)
-    p_closed = sequence_probability(h, MeasurementSequence.successes(10))
+    p_closed = math.exp(sequence_probability(h, MeasurementSequence.successes(10)))
     ok = (
         abs(p_fold - 0.012) / 0.012 < 0.10
         and abs(p_closed - 0.012) / 0.012 < 0.10
@@ -131,9 +131,9 @@ def test_criterion_04_two_peak_exact_rationals():
 
 def test_criterion_05_uniform_spectrum_short_records():
     h = uniform_histogram(10_000)
-    p_1 = sequence_probability(h, MeasurementSequence((1,)))
-    p_11 = sequence_probability(h, MeasurementSequence((1, 1)))
-    p_01 = sequence_probability(h, MeasurementSequence((0, 1)))
+    p_1 = math.exp(sequence_probability(h, MeasurementSequence((1,))))
+    p_11 = math.exp(sequence_probability(h, MeasurementSequence((1, 1))))
+    p_01 = math.exp(sequence_probability(h, MeasurementSequence((0, 1))))
     ok = (
         abs(p_1 - 0.5) < 1e-3
         and abs(p_11 - 3 / 8) < 1e-3
@@ -187,7 +187,7 @@ def test_criterion_08_sequence_probabilities_are_complete():
         h = build_histogram(parse_graph_spec(spec), ObjectiveKind.MAXCUT)
         for m in range(1, 13):
             total = math.fsum(
-                sequence_probability(h, MeasurementSequence(bits))
+                math.exp(sequence_probability(h, MeasurementSequence(bits)))
                 for bits in itertools.product((0, 1), repeat=m)
             )
             worst = max(worst, abs(total - 1.0))
@@ -208,7 +208,7 @@ def test_criterion_09_bounds_never_violated():
     for _ in range(200):
         n = int(rng.integers(2, 40))
         h = histogram_from_phases(np.sort(rng.uniform(0.01, math.pi, size=n)))
-        p01 = sequence_probability(h, MeasurementSequence((0, 1)))
+        p01 = math.exp(sequence_probability(h, MeasurementSequence((0, 1))))
         half_width = float(rng.uniform(0.05, math.pi / 2 - 0.05))
         if band_bound(p01, half_width) > h.band_mass(half_width) + 1e-12:
             band_violations += 1

@@ -20,13 +20,11 @@ from phaseamp import (
     histogram_from_phases,
     initial_state,
     make_line,
-    outcome_probability,
     parse_graph_spec,
     run_sequence,
     sample_assignment,
     sequence_probability,
     step,
-    success_probability,
     success_run,
     tail_probability,
     unconditional_tail_probability,
@@ -95,11 +93,9 @@ class TestStep:
         for h in benchmark_histograms.values():
             state = initial_state(h)
             for _ in range(4):
-                p1 = outcome_probability(state, 1)
-                p0 = outcome_probability(state, 0)
+                (after_one, p1), (_, p0) = step(state, 1), step(state, 0)
                 assert p1 + p0 == pytest.approx(1.0, abs=1e-12)
-                assert success_probability(state) == p1
-                state, _ = step(state, 1)
+                state = after_one
 
     def test_step_reweights_levels(self):
         h = histogram_from_phases([math.pi / 3, math.pi])
@@ -153,9 +149,8 @@ class TestRunSequence:
         state, p = success_run(h, 20000)
         expected = ref_log_sequence_probability(h.thetas, h.counts, 20000, 20000)
         assert state.log_sequence_probability == pytest.approx(expected, rel=1e-10)
-        assert sequence_probability(h, MeasurementSequence.successes(20000)) == pytest.approx(
-            p, rel=1e-9
-        )
+        log_p = sequence_probability(h, MeasurementSequence.successes(20000))
+        assert math.exp(log_p) == pytest.approx(p, rel=1e-9)
 
     def test_probability_equals_product_of_steps(self, grid44_histogram):
         state = initial_state(grid44_histogram)
@@ -172,7 +167,7 @@ class TestClosedForm:
         y = MeasurementSequence.from_string(bits)
         for h in benchmark_histograms.values():
             _, p_fold = run_sequence(h, y)
-            assert sequence_probability(h, y) == pytest.approx(p_fold, rel=1e-12)
+            assert math.exp(sequence_probability(h, y)) == pytest.approx(p_fold, rel=1e-12)
 
     def test_depends_only_on_ones_count(self, grid44_histogram):
         h = grid44_histogram
@@ -188,7 +183,23 @@ class TestClosedForm:
         for bits in ("1" * 1100, "1" * 1500 + "0", "0" * 1500):
             y = MeasurementSequence.from_string(bits)
             expected = ref_log_sequence_probability(h.thetas, h.counts, y.q, y.m)
-            assert math.log(sequence_probability(h, y)) == pytest.approx(expected, rel=1e-12)
+            assert sequence_probability(h, y) == pytest.approx(expected, rel=1e-12)
+
+    def test_log_stays_finite_below_the_float_range(self):
+        # p(y) is about e^-971.5 here: exp underflows to 0.0, the log does not.
+        h = build_histogram(parse_graph_spec("starring:5"), ObjectiveKind.MAXCUT)
+        y = MeasurementSequence.from_string("10" * 700)
+        expected = ref_log_sequence_probability(h.thetas, h.counts, y.q, y.m)
+        log_p = sequence_probability(h, y)
+        assert log_p == pytest.approx(expected, rel=1e-12)
+        assert math.exp(log_p) == 0.0
+        state, _ = run_sequence(h, y)
+        assert state.log_sequence_probability == pytest.approx(log_p, rel=1e-12)
+
+    def test_impossible_record_has_log_minus_infinity(self):
+        # Every assignment sits at angle 0, where outcome 1 never happens.
+        h = histogram_from_phases([0.0, 0.0, 0.0])
+        assert sequence_probability(h, MeasurementSequence((1,))) == -math.inf
 
     def test_fold_order_invariance(self, benchmark_histograms):
         for h in benchmark_histograms.values():

@@ -217,6 +217,20 @@ class TestTwoPeakStats:
         assert two_peak_required_measurements(model, Fraction(16, 7)) == pytest.approx(1.0)
         assert two_peak_required_measurements(model, Fraction(256, 7)) == pytest.approx(2.0)
 
+    def test_required_measurements_past_the_float_range(self):
+        # Exact targets and gains go through log2 of their integer parts:
+        # 10^400 and 10^-400 overflow and underflow a float.
+        # The gain ratio is 16 and the start 7 * target, so m = log2(7 * target) / 4.
+        model = TwoPeakModel.from_gains(Fraction(1, 8), Fraction(1, 8), Fraction(2))
+        for exponent, expected in ((400, 332.8946), (-400, -331.4910)):
+            required = two_peak_required_measurements(model, Fraction(10) ** exponent)
+            assert required == pytest.approx((exponent * math.log2(10) + math.log2(7)) / 4)
+            assert required == pytest.approx(expected, abs=1e-4)
+        tiny = TwoPeakModel.from_gains(Fraction(1, 8), Fraction(10) ** -400, Fraction(2))
+        assert two_peak_required_measurements(tiny, 16) == pytest.approx(
+            math.log2(112) / (1 + 400 * math.log2(10))
+        )
+
     def test_required_measurements_rejects_dead_lower_peak(self):
         model = TwoPeakModel.from_gains(Fraction(1, 4), 0, Fraction(3, 2))
         with pytest.raises(NoAmplificationError):
@@ -311,13 +325,22 @@ class TestTailBounds:
     def test_band_bound_saturates_for_central_mass(self):
         # All mass exactly at pi/2 gives p(01) = 1/4.
         assert band_bound(1 / 4, math.pi / 4) == pytest.approx(1.0)
+        # cos^2 + sin^2 rounds away from 1 at many widths; the bound stays a mass.
+        for hw in np.linspace(1e-6, math.pi / 2 - 1e-6, 1001):
+            assert 0.0 <= band_bound(1 / 4, float(hw)) <= 1.0
+
+    @pytest.mark.parametrize("p01", [-0.1, 0.25000001, 2.0, math.nan, math.inf])
+    def test_band_bound_rejects_p01_outside_its_domain(self, p01):
+        # p(01) = sum_k w_k sin^2(theta_k) / 4 never leaves [0, 1/4].
+        with pytest.raises(InvalidParameterError, match=r"\[0, 1/4\]"):
+            band_bound(p01, math.pi / 4)
 
     def test_band_bound_is_a_lower_bound(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             n = int(rng.integers(2, 30))
             h = histogram_from_phases(np.sort(rng.uniform(0.02, math.pi, size=n)))
-            p01 = sequence_probability(h, MeasurementSequence((0, 1)))
+            p01 = math.exp(sequence_probability(h, MeasurementSequence((0, 1))))
             hw = float(rng.uniform(0.1, math.pi / 2 - 0.1))
             assert band_bound(p01, hw) <= h.band_mass(hw) + 1e-12
 
@@ -346,14 +369,3 @@ class TestSamplingComparison:
             assert cmp.p_amplified == pytest.approx(
                 unconditional_tail_probability(state, 3 * math.pi / 4), rel=1e-10
             )
-
-    def test_checks_saved(self):
-        h = uniform_histogram(4)
-        cmp = sampling_comparison(h, math.pi, 2)
-        assert cmp.checks_saved == pytest.approx(cmp.p_sampled / cmp.p_amplified)
-
-    def test_checks_saved_edge_cases(self):
-        from phaseamp import SamplingComparison
-
-        assert SamplingComparison(0.0, 0.5).checks_saved == math.inf
-        assert math.isnan(SamplingComparison(0.0, 0.0).checks_saved)

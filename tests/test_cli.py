@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -247,6 +248,42 @@ class TestAmplifyVerb:
         doc = strict_json(out)
         assert doc["closed_form_probability"] == pytest.approx(doc["probability"], rel=1e-12)
 
+    def test_report_keys_in_order(self, capsys):
+        doc = run_json(capsys, "amplify", "--graph", "line:6", "--sequence", "1011")
+        assert list(doc) == [
+            "schema", "graph", "sequence", "m", "q", "probability", "log_probability",
+            "closed_form_probability", "closed_form_log_probability", "weights", "thetas",
+            "tail",
+        ]
+        assert doc["closed_form_log_probability"] == pytest.approx(
+            math.log(doc["closed_form_probability"]), rel=1e-12
+        )
+
+    def test_underflowed_probabilities_print_null(self, capsys):
+        # p(y) is about e^-971.5: below the float range, but not zero.
+        code, out, err = run_cli(
+            capsys, "amplify", "--graph", "starring:5", "--sequence", "10" * 700,
+            "--tail-at", "pi/2",
+        )
+        assert code == 0, err
+        doc = strict_json(out)
+        assert doc["log_probability"] == pytest.approx(-971.54, abs=0.01)
+        assert doc["closed_form_log_probability"] == pytest.approx(
+            doc["log_probability"], rel=1e-12
+        )
+        assert doc["probability"] is None
+        assert doc["closed_form_probability"] is None
+        assert doc["tail"]["conditional"] > 0.0
+        assert doc["tail"]["unconditional"] is None
+
+    def test_empty_tail_prints_zero(self, capsys):
+        # No starring:5 assignment cuts every edge, so the tail at pi is exactly empty.
+        doc = run_json(
+            capsys, "amplify", "--graph", "starring:5", "--sequence", "10" * 700
+        )
+        assert doc["tail"]["conditional"] == 0.0
+        assert doc["tail"]["unconditional"] == 0.0
+
     def test_negative_sample_is_exit_2_before_any_work(self, capsys):
         # line:40 is past every enumeration cap, so reaching it would be exit 3.
         code, out, err = run_cli(
@@ -344,6 +381,24 @@ class TestFiguresVerb:
         assert "fig2_line_12.json" in names
         assert "fig3.json" in names
         assert "grid_table.json" in names
+
+    def test_all_experiments_are_byte_identical(self, capsys, tmp_path, monkeypatch):
+        """``figures --experiment all --out out`` prints and writes pinned bytes.
+
+        The hashes were taken with Python 3.11.7 and numpy 2.4.6; another
+        libm or numpy may round a last digit differently. The file hash is
+        over the 41 files concatenated in name order.
+        """
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "figures", "--experiment", "all", "--out", "out")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1ea52d3e8a38693be4d9f854c2e2c472dcac07caf04dd8d88ff761432392cc1f"
+        )
+        files = sorted((tmp_path / "out").iterdir(), key=lambda p: p.name)
+        assert len(files) == 41
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+        assert digest == "ba4fbe3706cf3227473dd9b93055d1cad3f6de337d45c2bec568057bdb66e4af"
 
     def test_all_experiments_write_order(self, capsys, tmp_path):
         doc = run_json(
@@ -539,6 +594,15 @@ class TestBoundsVerb:
         )
         assert doc["band"]["lower_bound"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("p01", ["2", "0.2500001", "-0.1", "nan", "inf"])
+    def test_p01_outside_its_domain_is_exit_2(self, capsys, p01):
+        code, out, err = run_cli(
+            capsys, "bounds", "--p-run", "0.5", "--m", "3", "--theta-ref", "pi/2",
+            "--p01", p01,
+        )
+        assert code == 2 and out == ""
+        assert "p(01) must lie in [0, 1/4]" in err
+
     def test_invalid_angle_is_exit_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "bounds", "--p-run", "0.5", "--m", "1", "--theta-ref", "0"
@@ -596,6 +660,24 @@ class TestTwopeakVerb:
         )
         assert doc["required_measurements"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("target,expected", [("1e400", 332.8946), ("1e-400", -331.4910)])
+    def test_target_ratio_past_the_float_range(self, capsys, target, expected):
+        code, out, err = run_cli(
+            capsys, "twopeak", "--q-u", "1/8", "--a-l", "1/8", "--a-u", "2",
+            "--target-ratio", target,
+        )
+        assert code == 0, err
+        doc = strict_json(out)
+        assert doc["required_measurements"] == pytest.approx(expected, abs=1e-4)
+
+    def test_lower_gain_past_the_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "twopeak", "--q-u", "1/8", "--a-l", "1e-400", "--a-u", "2",
+            "--target-ratio", "16",
+        )
+        assert code == 0, err
+        assert math.isfinite(strict_json(out)["required_measurements"])
+
     def test_angle_inputs(self, capsys):
         doc = run_json(
             capsys,
@@ -621,6 +703,15 @@ class TestTwopeakVerb:
             capsys, "twopeak", "--q-u", "2", "--a-l", "1/8", "--a-u", "2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("a_l,a_u", [("1e400", "2"), ("1/8", "1e400")])
+    def test_gain_past_the_float_range_is_exit_2(self, capsys, a_l, a_u):
+        # The gains are checked before their angles are taken as floats.
+        code, out, err = run_cli(
+            capsys, "twopeak", "--q-u", "1/8", "--a-l", a_l, "--a-u", a_u
+        )
+        assert code == 2 and out == ""
+        assert err == "error: per-step gains must satisfy 0 <= a_l < 1 < a_u <= 2\n"
 
     def test_dead_lower_peak_on_a_long_float_run(self, capsys):
         code, out, err = run_cli(

@@ -33,7 +33,10 @@ ANGLES = (
     "0", "pi", "pi/2", "pi/3", "2pi/3", "3pi/4", "0.5", "3.1", "-1", "7",
     "nan", "inf", "pi/0", "x",
 )
-FRACTIONS = ("0", "1", "1/16", "1/8", "1/2", "7/8", "3/2", "2", "-1/4", "1/0", "x")
+# 1e400 and 1e-400 are exact, but past the float range either way.
+FRACTIONS = (
+    "0", "1", "1/16", "1/8", "1/2", "7/8", "3/2", "2", "-1/4", "1/0", "x", "1e400", "1e-400",
+)
 FLOATS = ("0", "1e-320", "1e-9", "0.05", "0.5", "1", "1.5", "-0.1", "nan", "inf")
 LENGTHS = st.integers(min_value=-2, max_value=2000)
 # Graph specs for figures: benchmark graphs, others, refused ones (a directory
@@ -145,6 +148,11 @@ def _run(argv: list[str]) -> tuple[int, str, str, bool]:
 @example(argv=["verify-oracle", "--max-qubits", "0", "--sets", "2"])
 @example(argv=["verify-oracle", "--max-qubits", "-1", "--sets", "2"])
 @example(argv=["amplify", "--graph", "line:21", "--successes", "3", "--sample", "1"])
+@example(argv=["amplify", "--graph", "starring:5", "--sequence", "10" * 700])
+@example(argv=["twopeak", "--q-u", "1/8", "--a-l", "1/8", "--a-u", "2",
+               "--target-ratio", "1e400"])
+@example(argv=["bounds", "--p-run", "0.5", "--m", "3", "--theta-ref", "pi/2", "--p01", "inf"])
+@example(argv=["twopeak", "--q-u", "0", "--a-l", "0", "--a-u", "1e400"])
 def test_every_argv_gives_a_report_or_a_one_line_error(argv):
     code, out, err, refused = _run(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
@@ -180,8 +188,16 @@ def test_every_argv_gives_a_report_or_a_one_line_error(argv):
         doc = json.loads(out, parse_constant=_reject_constant)
         if verb == "verify-oracle":
             assert doc["cases"] >= 1, argv
-        if verb == "amplify" and int(_flag(argv, "--sample", "0")) > 0:
-            _check_samples(argv, doc)
+        if verb == "amplify":
+            # The fold refuses an impossible record, so neither probability
+            # of an accepted one may read 0.0: it is positive, or null past
+            # the float range.
+            assert doc["probability"] != 0.0, argv
+            assert doc["closed_form_probability"] != 0.0, argv
+            if int(_flag(argv, "--sample", "0")) > 0:
+                _check_samples(argv, doc)
+        if verb == "bounds" and "band" in doc:
+            assert 0.0 <= doc["band"]["lower_bound"] <= 1.0, argv
 
 
 def _check_samples(argv: list[str], doc: dict) -> None:
@@ -189,7 +205,7 @@ def _check_samples(argv: list[str], doc: dict) -> None:
     samples = doc["samples"]
     assert len(samples) == int(_flag(argv, "--sample", None)), argv
     g = parse_graph_spec(_flag(argv, "--graph", None))
-    kind = ObjectiveKind.parse(_flag(argv, "--objective", "maxcut")).value
+    kind = ObjectiveKind.coerce(_flag(argv, "--objective", "maxcut")).value
     first = 0 if "--include-zero" in argv else 1
     for x in samples:
         assert type(x) is int and first <= x < 1 << g.n_vertices, (argv, x)

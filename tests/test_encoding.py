@@ -26,7 +26,6 @@ from phaseamp import (
     make_line,
     objective_values,
     parse_graph_spec,
-    shift_phases,
     two_peak_histogram,
     uniform_histogram,
 )
@@ -51,7 +50,7 @@ class TestBuildHistogram:
     @pytest.mark.parametrize("include_zero", [False, True])
     def test_counts_match_reference(self, kind, spec, include_zero):
         g = parse_graph_spec(spec)
-        h = build_histogram(g, ObjectiveKind.parse(kind), include_zero=include_zero)
+        h = build_histogram(g, ObjectiveKind.coerce(kind), include_zero=include_zero)
         ref = ref_level_counts(kind, g.n_vertices, g.edges, include_zero)
         assert h.n_levels == g.edge_count + 1
         for k in range(g.edge_count + 1):
@@ -300,26 +299,6 @@ class TestTwoPeakHistogram:
             two_peak_histogram(model, 3)
 
 
-class TestShiftPhases:
-    def test_zero_shift_is_identity(self, grid44_histogram):
-        assert shift_phases(grid44_histogram, 0.0) is grid44_histogram
-
-    def test_shift_moves_levels_and_drops_labels(self, grid44_histogram):
-        shifted = shift_phases(grid44_histogram, 0.25)
-        assert np.allclose(shifted.thetas, grid44_histogram.thetas + 0.25)
-        assert shifted.denominator is None
-        assert shifted.numerators is None
-        assert np.array_equal(shifted.counts, grid44_histogram.counts)
-
-    def test_shift_may_leave_zero_pi(self, grid44_histogram):
-        shifted = shift_phases(grid44_histogram, 0.5)
-        assert float(shifted.thetas[-1]) > math.pi
-
-    def test_rejects_nonfinite(self, grid44_histogram):
-        with pytest.raises(InvalidParameterError):
-            shift_phases(grid44_histogram, math.inf)
-
-
 class TestHistogramFromPhases:
     def test_groups_duplicates(self):
         h = histogram_from_phases([1.1, 0.3, 0.3, 1.1, 2.0])
@@ -350,7 +329,7 @@ class TestClassTable:
         table = build_class_table(g, ObjectiveKind.MAXCUT)
         rng = np.random.default_rng(7)
         for x in rng.integers(1, 1 << 8, size=1000):
-            assert table.class_of(int(x)) == ref_objective("maxcut", 8, g.edges, int(x))
+            assert table.levels[x] == ref_objective("maxcut", 8, g.edges, int(x))
 
     def test_members_partition_the_support(self):
         g = make_line(6)
@@ -371,7 +350,7 @@ class TestClassTable:
     @pytest.mark.parametrize("include_zero", [False, True])
     def test_members_and_sizes_match_the_oracle(self, kind, include_zero):
         g = parse_graph_spec("grid:2x3")
-        table = build_class_table(g, ObjectiveKind.parse(kind), include_zero=include_zero)
+        table = build_class_table(g, ObjectiveKind.coerce(kind), include_zero=include_zero)
         first = 0 if include_zero else 1
         for level in range(table.n_levels):
             expected = [
@@ -399,14 +378,16 @@ class TestClassTable:
 
     def test_all_zeros_outside_support(self):
         table = build_class_table(make_line(5), ObjectiveKind.MAXCUT)
-        with pytest.raises(InvalidParameterError):
-            table.class_of(0)
+        # Level 0 holds the two uncut assignments; only all-ones is supported.
+        assert table.members(0).tolist() == [0b11111]
+        assert int(table.class_sizes().sum()) == (1 << 5) - 1
 
     def test_include_zero_restores_it(self):
         table = build_class_table(
             make_line(5), ObjectiveKind.MAXCUT, include_zero=True
         )
-        assert table.class_of(0) == 0
+        assert table.members(0).tolist() == [0, 0b11111]
+        assert int(table.class_sizes().sum()) == 1 << 5
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError, match="class tables capped at 20 vertices"):

@@ -20,7 +20,6 @@ from phaseamp import (
     objective_values,
     parse_graph_spec,
     read_graph_file,
-    write_graph_file,
 )
 from phaseamp.graphs import frontier_order, scored_assignments
 
@@ -94,7 +93,7 @@ class TestObjectives:
     @pytest.mark.parametrize("spec", ["line:5", "grid:3x3", "starring:6"])
     def test_matches_bitstring_oracle(self, kind, spec):
         g = parse_graph_spec(spec)
-        objective = ObjectiveKind.parse(kind)
+        objective = ObjectiveKind.coerce(kind)
         xs = np.arange(1 << g.n_vertices)
         assert objective_values(g, objective, xs).tolist() == [
             ref_objective(kind, g.n_vertices, g.edges, int(x)) for x in xs
@@ -148,7 +147,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("spec", ["line:6", "grid:2x3", "starring:5"])
     def test_matches_reference_scan(self, kind, spec):
         g = parse_graph_spec(spec)
-        best, maximizers = brute_force_optima(g, ObjectiveKind.parse(kind))
+        best, maximizers = brute_force_optima(g, ObjectiveKind.coerce(kind))
         ref_best, ref_argmax = ref_optima(kind, g.n_vertices, g.edges)
         assert best == ref_best
         assert sorted(maximizers) == ref_argmax
@@ -225,14 +224,16 @@ class TestScoredAssignments:
 
 class TestObjectiveKind:
     def test_parse_variants(self):
-        assert ObjectiveKind.parse("MaxCut") is ObjectiveKind.MAXCUT
-        assert ObjectiveKind.parse("max-cut") is ObjectiveKind.MAXCUT
-        assert ObjectiveKind.parse("covered_edges") is ObjectiveKind.COVERED_EDGES
-        assert ObjectiveKind.parse("cover") is ObjectiveKind.COVERED_EDGES
+        assert ObjectiveKind.coerce("MaxCut") is ObjectiveKind.MAXCUT
+        assert ObjectiveKind.coerce("max-cut") is ObjectiveKind.MAXCUT
+        assert ObjectiveKind.coerce(" covered_edges ") is ObjectiveKind.COVERED_EDGES
+        assert ObjectiveKind.coerce("cover") is ObjectiveKind.COVERED_EDGES
+        assert ObjectiveKind.coerce(ObjectiveKind.MAXCUT) is ObjectiveKind.MAXCUT
 
     def test_parse_unknown(self):
-        with pytest.raises(InvalidParameterError):
-            ObjectiveKind.parse("min-cut")
+        for value in ("min-cut", None, 1):
+            with pytest.raises(InvalidParameterError):
+                ObjectiveKind.coerce(value)
 
     def test_scoring_accepts_string_spellings(self):
         g = make_line(4)
@@ -261,7 +262,7 @@ class TestFileFormat:
     def test_round_trip(self, tmp_path):
         g = make_star_ring(9)
         path = tmp_path / "ring.graph"
-        write_graph_file(g, path)
+        path.write_text(format_graph_file(g))
         assert read_graph_file(path) == g
 
     def test_parse_spec_shorthands(self):
@@ -271,7 +272,7 @@ class TestFileFormat:
 
     def test_parse_spec_reads_files(self, tmp_path):
         path = tmp_path / "g.graph"
-        write_graph_file(make_grid(2, 3), path)
+        path.write_text(format_graph_file(make_grid(2, 3)))
         assert parse_graph_spec(str(path)) == make_grid(2, 3)
 
     def test_parse_spec_rejects_garbage(self):
