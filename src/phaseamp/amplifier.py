@@ -25,8 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import ANGLE_ATOL, ClassTable, PhaseHistogram
-from .errors import ImpossibleOutcomeError, InvalidParameterError
+from .encoding import (
+    ANGLE_ATOL,
+    PhaseHistogram,
+    build_class_table,
+    frontier_members,
+    frontier_route,
+    frontier_tables,
+    level_totals,
+)
+from .errors import ImpossibleOutcomeError, InvalidParameterError, check_limit
+from .graphs import Graph, ObjectiveKind
 
 _WEIGHT_SUM_ATOL = 1e-12
 
@@ -182,21 +191,44 @@ def unconditional_tail_probability(state: ClassState, theta: float) -> float:
 
 def sample_assignment(
     state: ClassState,
-    table: ClassTable,
+    graph: Graph,
+    objective: ObjectiveKind | str,
     count: int,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Draw ``count`` assignments: each a level per the state weights, then a
-    uniform member of that level. The draws are one batch, grouped by level."""
+    """Draw ``count`` assignments of ``graph``: each a level per the state
+    weights, then a uniform member of that level. The draws are one batch.
+
+    Members come from the frontier DP's tables when :func:`frontier_route`
+    takes the DP with every table kept, each by a uniform integer rank
+    (:func:`frontier_members`); otherwise from an enumerated class table.
+    Either route's level counts must equal the state's histogram.
+    """
     if count < 0:
         raise InvalidParameterError(f"sample count must be nonnegative, got {count}")
-    if not np.array_equal(table.class_sizes(), state.histogram.counts):
-        raise InvalidParameterError("class table counts do not match the histogram")
+    check_limit("histogram", graph.n_vertices, "assignment sampling")
+    h = state.histogram
+    is_cut = ObjectiveKind.coerce(objective) is ObjectiveKind.MAXCUT
+    steps = frontier_route(graph, keep_tables=True)
+    if steps is None:
+        table = build_class_table(graph, objective, include_zero=h.includes_zero)
+        sizes = table.class_sizes()
+    else:
+        tables = list(frontier_tables(steps, is_cut))
+        sizes = level_totals(tables[-1])
+        sizes[0] -= not h.includes_zero
+    if not np.array_equal(sizes, h.counts):
+        raise InvalidParameterError("the graph's level counts do not match the histogram")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     cumulative = np.cumsum(state.weights)
     drawn = np.searchsorted(cumulative, gen.random(count) * cumulative[-1], side="right")
     # A draw that rounds up to the total lands on the last level of positive weight.
     levels = np.minimum(drawn, np.flatnonzero(state.weights)[-1])
+    if steps is not None:
+        # Rank 0 of level 0 is the all-zeros assignment, which an excluded zero skips.
+        skip = (levels == 0) & (not h.includes_zero)
+        ranks = gen.integers(h.counts[levels]) + skip
+        return frontier_members(steps, tables, levels, ranks, is_cut)
     samples = np.empty(count, dtype=np.int64)
     for level in np.unique(levels):
         at_level = levels == level

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import amplifier, analytics, experiments, fullsim
-from .encoding import build_class_table, build_histogram, uniform_histogram
+from .encoding import build_histogram, frontier_route, uniform_histogram
 from .errors import LIMITS, InvalidParameterError, PhaseAmpError, ResourceLimitError, check_limit
 from .experiments import FORMATS, json_text, slug, write_files
 from .graphs import (
@@ -95,6 +95,11 @@ def _emit(
     sys.stdout.write(text)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidParameterError(f"--seed must be nonnegative, got {seed}")
+
+
 def _graph_for(args: argparse.Namespace):
     """The graph named by ``--graph``; None for ``--uniform``."""
     return None if args.uniform is not None else parse_graph_spec(args.graph)
@@ -144,6 +149,8 @@ def _cmd_hist(args: argparse.Namespace) -> int:
 def _cmd_amplify(args: argparse.Namespace) -> int:
     if args.sample < 0:
         raise InvalidParameterError("--sample must be nonnegative")
+    check_limit("samples", args.sample, "--sample")
+    _check_seed(args.seed)
     if args.sequence is not None:
         y = amplifier.MeasurementSequence.from_string(args.sequence)
     else:
@@ -153,7 +160,8 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
     if args.sample:
         if graph is None:
             raise InvalidParameterError("assignment sampling needs a graph source")
-        check_limit("class_table", graph.n_vertices, "class tables")
+        if frontier_route(graph, keep_tables=True) is None:
+            check_limit("class_table", graph.n_vertices, "class tables")
     h, label = _histogram_for(args, graph)
     # The fold refuses an impossible record, so the record's probability is positive.
     state, probability = amplifier.run_sequence(h, y)
@@ -182,8 +190,9 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
         },
     }
     if args.sample:
-        table = build_class_table(graph, args.objective, include_zero=args.include_zero)
-        samples = amplifier.sample_assignment(state, table, args.sample, args.seed)
+        samples = amplifier.sample_assignment(
+            state, graph, args.objective, args.sample, args.seed
+        )
         doc["samples"] = samples.tolist()
     text = json_text(doc)
     _emit(text, args.out, f"amplify_{slug(label)}", {"json": lambda: text})
@@ -291,6 +300,7 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--max-seq must be nonnegative, got {args.max_seq}")
     if args.sets < 1:
         raise InvalidParameterError(f"--sets must be at least 1, got {args.sets}")
+    _check_seed(args.seed)
     # The support is 2^max_qubits, so the flag is checked before 2^max_qubits is built.
     support_cap, unit = LIMITS["dense_support"]
     qubit_cap = support_cap.bit_length() - 1

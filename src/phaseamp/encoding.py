@@ -4,15 +4,16 @@ An assignment scoring ``f`` out of ``|E|`` edges is encoded at angle
 ``pi * f / |E|``, so scores land on the grid ``k * pi / |E|`` with the
 optimum at the top of ``[0, pi]``. Everything downstream only needs the
 number of assignments per level, which is what :class:`PhaseHistogram`
-stores. :class:`ClassTable` additionally keeps the level of every assignment
-so individual assignments can be sampled.
+stores. Individual assignments are sampled from the frontier DP's tables
+(:func:`frontier_members`), or, on graphs it does not take, from a
+:class:`ClassTable`, which keeps the level of every assignment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -134,23 +135,22 @@ def build_histogram(
     information, and the dynamics start from the uniform state over the rest.
     Levels with zero count are kept so level index equals objective score.
 
-    The counts come from a frontier DP (:func:`_frontier_counts`) when its
-    largest table fits ``LIMITS["frontier"]`` and its table work is below the
-    ``2**n * |E|`` edge scores of enumeration; otherwise every assignment is
+    The counts come from a frontier DP (:func:`frontier_tables`) when
+    :func:`frontier_route` takes it; otherwise every assignment is
     enumerated, up to ``LIMITS["enumeration"]`` vertices.
     """
     check_limit("histogram", g.n_vertices, "histograms")
     if g.edge_count < 1:
         raise InvalidGraphError("phase encoding needs at least one edge")
     is_cut = ObjectiveKind.coerce(objective) is ObjectiveKind.MAXCUT
-    steps = frontier_order(g)
-    largest, work = _frontier_cost(steps)
-    table_cap, table_unit = LIMITS["frontier"]
-    if largest <= table_cap and work < (1 << g.n_vertices) * g.edge_count:
+    steps = frontier_route(g)
+    if steps is not None:
         counts = _frontier_counts(steps, is_cut)
     else:
         vertex_cap, vertex_unit = LIMITS["enumeration"]
         if g.n_vertices > vertex_cap:
+            table_cap, table_unit = LIMITS["frontier"]
+            largest = _frontier_cost(frontier_order(g))[0]
             raise ResourceLimitError(
                 f"histograms capped at a frontier table of {table_cap} {table_unit}"
                 f" (got {largest}) or enumeration of {vertex_cap} {vertex_unit}"
@@ -181,34 +181,51 @@ _Step = tuple[int, tuple[int, ...], tuple[int, ...]]
 _VERTEX_WORK = 1 << 13
 
 
-def _frontier_cost(steps: list[_Step]) -> tuple[int, int]:
-    """The frontier DP's largest table, in entries, and its summed table work.
+def _frontier_cost(steps: list[_Step]) -> tuple[int, int, int]:
+    """The frontier DP's largest table and the sum of its tables, in entries,
+    and its summed table work.
 
     A step's table has one axis per frontier vertex plus the new one, and one
     column per level reached so far; its work is that size times the number
     of passes over it, one per closed edge and one to sum vertices out, plus
     the fixed ``_VERTEX_WORK``.
     """
-    largest = work = 0
+    largest = stored = work = 0
     n_levels = 1
     width = 0
     for _, closed, after in steps:
         n_levels += len(closed)
         size = (1 << (width + 1)) * n_levels
         largest = max(largest, size)
+        stored += size
         work += size * (len(closed) + 1) + _VERTEX_WORK
         width = len(after)
-    return largest, work
+    return largest, stored, work
 
 
-def _frontier_counts(steps: list[_Step], is_cut: bool) -> np.ndarray:
-    """Assignments per level by a transfer-matrix pass over the frontier steps.
+def frontier_route(g: Graph, keep_tables: bool = False) -> list[_Step] | None:
+    """The frontier DP's steps when the DP is the route for ``g``, else None.
 
-    The table maps each assignment of the frontier to its counts per level
-    over the vertices placed so far, with one axis of length 2 per frontier
-    vertex (in placement order) and the levels last. Placing a vertex adds its
-    axis, shifts each row by the edges it closes, and sums out the vertices
-    that leave the frontier.
+    The DP is the route when its largest table fits ``LIMITS["frontier"]``
+    and its table work is below the ``2**n * |E|`` edge scores of
+    enumeration. With ``keep_tables``, as for sampling, which keeps every
+    table, the tables together must fit that cap too.
+    """
+    steps = frontier_order(g)
+    largest, stored, work = _frontier_cost(steps)
+    table_cap = LIMITS["frontier"][0]
+    fits = largest <= table_cap and (stored <= table_cap or not keep_tables)
+    return steps if fits and work < (1 << g.n_vertices) * g.edge_count else None
+
+
+def frontier_tables(steps: list[_Step], is_cut: bool) -> Iterator[np.ndarray]:
+    """Each step's table of a transfer-matrix pass over the frontier steps.
+
+    A table maps each assignment of the step's frontier and its new vertex
+    (one axis of length 2 each, in placement order) to its counts per level
+    over the vertices placed so far, levels last. Placing a vertex adds its
+    axis and shifts each row by the edges it closes; the table is yielded
+    then, before the vertices that leave the frontier are summed out.
     """
     table = np.ones(1, dtype=np.int64)
     frontier: tuple[int, ...] = ()
@@ -225,11 +242,72 @@ def _frontier_counts(steps: list[_Step], is_cut: bool) -> np.ndarray:
                     shift = (xu ^ xv) if is_cut else (xu | xv)
                     grown[(*block, slice(shift, shift + n_levels))] = table[tuple(block)]
             table = grown
+        yield table
         leaving = tuple(i for i, u in enumerate(axes) if u not in after)
         if leaving:
             table = table.sum(axis=leaving)
         frontier = after
-    return table
+
+
+def level_totals(table: np.ndarray) -> np.ndarray:
+    """Assignments per level counted by the last of :func:`frontier_tables`,
+    the all-zeros assignment included."""
+    return table.sum(axis=tuple(range(table.ndim - 1)))
+
+
+def _frontier_counts(steps: list[_Step], is_cut: bool) -> np.ndarray:
+    """Assignments per level by the frontier DP, keeping one table at a time."""
+    for table in frontier_tables(steps, is_cut):
+        pass
+    return level_totals(table)
+
+
+def frontier_members(
+    steps: list[_Step],
+    tables: list[np.ndarray],
+    levels: np.ndarray,
+    ranks: np.ndarray,
+    is_cut: bool,
+) -> np.ndarray:
+    """The member of rank ``ranks[i]`` among the assignments at ``levels[i]``.
+
+    A backward pass over every table of :func:`frontier_tables`, all draws
+    at once. Each step picks the vertices that leave the frontier there, one
+    at a time in placement order, 0 before 1: a rank below the count of
+    members that put a 0 there picks 0, otherwise 1, less that count. What is
+    left of the rank orders the members of the earlier steps, and the level
+    left loses the edges the step closed. So each rank in ``[0, count)``
+    names a distinct member, and rank 0 of level 0 is the all-zeros
+    assignment.
+    """
+    values = np.zeros((len(steps), len(levels)), dtype=np.uint8)  # one per vertex and draw
+    level = np.array(levels, dtype=np.int64)
+    rank = np.array(ranks, dtype=np.int64)
+    frontiers = [()] + [after for _, _, after in steps[:-1]]
+    for (v, closed, after), frontier, table in zip(
+        reversed(steps), reversed(frontiers), reversed(tables)
+    ):
+        axes = frontier + (v,)
+        leaving = [u for u in axes if u not in after]
+        fixed = [u for u in axes if u in after]
+        # Known vertices first, then the leaving ones, then the levels.
+        table = np.transpose(table, [axes.index(u) for u in fixed + leaving] + [len(axes)])
+        partial = [table]  # partial[j]: summed over the last j leaving vertices
+        for _ in leaving[1:]:
+            partial.append(partial[-1].sum(axis=-2))
+        known = [values[u] for u in fixed]
+        for u, sums in zip(leaving, reversed(partial)):
+            zeros = sums[(*known, 0, level)]
+            bit = rank >= zeros
+            rank -= zeros * bit
+            values[u] = bit
+            known.append(values[u])
+        for u in closed:
+            level -= (values[u] ^ values[v]) if is_cut else (values[u] | values[v])
+    members = np.zeros(len(levels), dtype=np.int64)
+    for u, bits in enumerate(values):
+        members |= bits.astype(np.int64) << u
+    return members
 
 
 def uniform_histogram(n_support: int) -> PhaseHistogram:

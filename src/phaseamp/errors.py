@@ -39,14 +39,17 @@ class ResourceLimitError(PhaseAmpError):
 
 # Every size cap, by budget: (cap, unit). Histogram counts are int64, so all
 # 2^n assignments of a histogram must fit; its frontier DP keeps a table
-# of 8-byte counts, enumeration costs 2^n time, a class table 4 bytes per
-# assignment, the dense oracle 2N amplitudes per record. Exact two-peak results
-# stop at Python's default limit on the digits of an int printed as a string.
+# of 8-byte counts (sampling keeps all of them, within the same cap),
+# enumeration costs 2^n time, a class table 4 bytes per assignment, a drawn
+# sample up to about 200 bytes of arrays, JSON and Python ints, the dense
+# oracle 2N amplitudes per record. Exact two-peak results stop at Python's default
+# limit on the digits of an int printed as a string.
 LIMITS = {
     "histogram": (62, "vertices"),
     "frontier": (1 << 22, "table entries"),
     "enumeration": (28, "vertices"),
     "class_table": (20, "vertices"),
+    "samples": (1_000_000, "draws"),
     "dense_support": (1024, "assignments"),
     "dense_sequence": (8, "outcomes"),
     "exact_digits": (4300, "digits"),

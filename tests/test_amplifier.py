@@ -11,6 +11,7 @@ import pytest
 
 from phaseamp import (
     ClassState,
+    amplifier,
     ImpossibleOutcomeError,
     InvalidParameterError,
     MeasurementSequence,
@@ -19,7 +20,9 @@ from phaseamp import (
     build_histogram,
     histogram_from_phases,
     initial_state,
+    make_grid,
     make_line,
+    objective_values,
     parse_graph_spec,
     run_sequence,
     sample_assignment,
@@ -30,11 +33,13 @@ from phaseamp import (
     unconditional_tail_probability,
     uniform_histogram,
 )
+from phaseamp.graphs import frontier_order
 
 from .oracles import (
     chi_square_p_value,
     ref_conditional_weights,
     ref_log_sequence_probability,
+    ref_objective,
     ref_sequence_probability,
 )
 
@@ -231,71 +236,119 @@ class TestTails:
             )
 
 
+# The sampler's two routes, forced whatever the cost rule would pick.
+SAMPLING_ROUTES = {
+    "frontier": lambda g, keep_tables=False: frontier_order(g),
+    "enumeration": lambda g, keep_tables=False: None,
+}
+
+
+def each_route(monkeypatch):
+    """Run the rest of a test's loop body once on each sampling route."""
+    for name, route in SAMPLING_ROUTES.items():
+        monkeypatch.setattr(amplifier, "frontier_route", route)
+        yield name
+
+
 class TestSampling:
-    def test_samples_follow_the_weights(self):
+    def test_samples_follow_the_weights(self, monkeypatch):
         g = parse_graph_spec("grid:4x5")
         h = build_histogram(g, ObjectiveKind.MAXCUT)
-        table = build_class_table(g, ObjectiveKind.MAXCUT)
         state, _ = success_run(h, 10)
-        draws = sample_assignment(state, table, 20_000, np.random.default_rng(42))
-        assert draws.dtype == np.int64 and draws.shape == (20_000,)
-        observed = np.bincount(table.levels[draws], minlength=h.n_levels)
-        live = state.weights > 0
-        p = chi_square_p_value(observed[live], draws.size * state.weights[live])
-        assert p >= 1e-6
-        assert observed[~live].sum() == 0
+        for route in each_route(monkeypatch):
+            draws = sample_assignment(
+                state, g, ObjectiveKind.MAXCUT, 20_000, np.random.default_rng(42)
+            )
+            assert draws.dtype == np.int64 and draws.shape == (20_000,), route
+            levels = objective_values(g, ObjectiveKind.MAXCUT, draws)
+            observed = np.bincount(levels, minlength=h.n_levels)
+            live = state.weights > 0
+            p = chi_square_p_value(observed[live], draws.size * state.weights[live])
+            assert p >= 1e-6, route
+            assert observed[~live].sum() == 0, route
 
-    def test_members_are_drawn_uniformly_within_a_level(self):
+    def test_members_are_drawn_uniformly_within_a_level(self, monkeypatch):
         g = parse_graph_spec("line:6")
         h = build_histogram(g, ObjectiveKind.MAXCUT)
         table = build_class_table(g, ObjectiveKind.MAXCUT)
         state, _ = success_run(h, 1)
-        draws = sample_assignment(state, table, 20_000, 8)
-        for level in range(h.n_levels):
-            members = table.members(level)
-            hits = draws[table.levels[draws] == level]
-            observed = [int((hits == x).sum()) for x in members]
-            assert sum(observed) == hits.size
-            expected = [hits.size / members.size] * members.size
-            assert chi_square_p_value(observed, expected) >= 1e-6
+        for route in each_route(monkeypatch):
+            draws = sample_assignment(state, g, ObjectiveKind.MAXCUT, 20_000, 8)
+            for level in range(h.n_levels):
+                members = table.members(level)
+                hits = draws[table.levels[draws] == level]
+                observed = [int((hits == x).sum()) for x in members]
+                assert sum(observed) == hits.size, route
+                expected = [hits.size / members.size] * members.size
+                assert chi_square_p_value(observed, expected) >= 1e-6, route
 
-    def test_sampled_assignments_live_on_their_level(self):
+    def test_sampled_assignments_live_on_their_level(self, monkeypatch):
         g = parse_graph_spec("grid:2x3")
         h = build_histogram(g, ObjectiveKind.MAXCUT)
-        table = build_class_table(g, ObjectiveKind.MAXCUT)
         state, _ = run_sequence(h, MeasurementSequence((1, 0, 1)))
-        draws = sample_assignment(state, table, 200, np.random.default_rng(3))
-        assert np.all((draws > 0) & (draws < 1 << 6))
-        assert np.all(state.weights[table.levels[draws]] > 0.0)
+        for route in each_route(monkeypatch):
+            draws = sample_assignment(
+                state, g, ObjectiveKind.MAXCUT, 200, np.random.default_rng(3)
+            )
+            assert np.all((draws > 0) & (draws < 1 << 6)), route
+            levels = objective_values(g, ObjectiveKind.MAXCUT, draws)
+            assert np.all(state.weights[levels] > 0.0), route
 
-    def test_seed_reproducibility(self):
+    def test_seed_reproducibility(self, monkeypatch):
         g = make_line(5)
         h = build_histogram(g, ObjectiveKind.MAXCUT)
-        table = build_class_table(g, ObjectiveKind.MAXCUT)
         state, _ = success_run(h, 1)
-        a = sample_assignment(state, table, 50, 11)
-        assert np.array_equal(a, sample_assignment(state, table, 50, 11))
-        assert not np.array_equal(a, sample_assignment(state, table, 50, 12))
+        for route in each_route(monkeypatch):
+            a = sample_assignment(state, g, ObjectiveKind.MAXCUT, 50, 11)
+            assert np.array_equal(a, sample_assignment(state, g, ObjectiveKind.MAXCUT, 50, 11))
+            assert not np.array_equal(
+                a, sample_assignment(state, g, ObjectiveKind.MAXCUT, 50, 12)
+            ), route
 
-    def test_zero_and_negative_counts(self):
+    def test_zero_and_negative_counts(self, monkeypatch):
         g = make_line(5)
-        table = build_class_table(g, ObjectiveKind.MAXCUT)
         state = initial_state(build_histogram(g, ObjectiveKind.MAXCUT))
-        empty = sample_assignment(state, table, 0, 0)
-        assert empty.dtype == np.int64 and empty.shape == (0,)
-        with pytest.raises(InvalidParameterError, match="got -1"):
-            sample_assignment(state, table, -1, 0)
+        for route in each_route(monkeypatch):
+            empty = sample_assignment(state, g, ObjectiveKind.MAXCUT, 0, 0)
+            assert empty.dtype == np.int64 and empty.shape == (0,), route
+            with pytest.raises(InvalidParameterError, match="got -1"):
+                sample_assignment(state, g, ObjectiveKind.MAXCUT, -1, 0)
 
-    def test_rejects_mismatched_table(self, grid44_histogram):
-        g = make_line(5)
-        table = build_class_table(g, ObjectiveKind.MAXCUT)
+    def test_rejects_mismatched_table(self, monkeypatch, grid44_histogram):
         state = initial_state(grid44_histogram)
-        with pytest.raises(InvalidParameterError):
-            sample_assignment(state, table, 1, 0)
+        for _ in each_route(monkeypatch):
+            with pytest.raises(InvalidParameterError, match="do not match"):
+                sample_assignment(state, make_line(5), ObjectiveKind.MAXCUT, 1, 0)
+            with pytest.raises(InvalidParameterError, match="do not match"):
+                sample_assignment(state, make_grid(4, 4), ObjectiveKind.COVERED_EDGES, 1, 0)
 
-    def test_rejects_support_disagreement(self):
+    def test_rejects_support_disagreement(self, monkeypatch):
+        # Counts with the all-zeros assignment, flagged as without it.
         g = make_line(5)
         h = build_histogram(g, ObjectiveKind.MAXCUT, include_zero=True)
-        table = build_class_table(g, ObjectiveKind.MAXCUT, include_zero=False)
-        with pytest.raises(InvalidParameterError):
-            sample_assignment(initial_state(h), table, 1, 0)
+        flagged = dataclasses.replace(h, includes_zero=False)
+        for _ in each_route(monkeypatch):
+            with pytest.raises(InvalidParameterError, match="do not match"):
+                sample_assignment(initial_state(flagged), g, ObjectiveKind.MAXCUT, 1, 0)
+
+    def test_frontier_route_reaches_past_the_class_table_cap(self):
+        # grid:7x8 has no class table: draw only its rare top levels of MaxCut,
+        # each member with the same weight, and count every member's draws.
+        g = parse_graph_spec("grid:7x8")
+        h = build_histogram(g, ObjectiveKind.MAXCUT)
+        top = np.arange(h.n_levels) >= 91
+        weights = np.where(top, h.counts, 0) / h.counts[top].sum()
+        n_members = int(h.counts[top].sum())
+        assert n_members == 2246
+        draws = sample_assignment(
+            ClassState(h, weights, 0.0), g, ObjectiveKind.MAXCUT, 20 * n_members, 5
+        )
+        members, observed = np.unique(draws, return_counts=True)
+        scores = [ref_objective("maxcut", g.n_vertices, g.edges, int(x)) for x in members]
+        assert min(scores) >= 91
+        # The two checkerboards are the only maximizers; each is drawn.
+        board = sum(1 << (r * 8 + c) for r in range(7) for c in range(8) if (r + c) % 2)
+        assert {board, board ^ ((1 << 56) - 1)} == set(members[np.array(scores) == 97])
+        unseen = [0] * (n_members - members.size)
+        expected = [draws.size / n_members] * n_members
+        assert chi_square_p_value(observed.tolist() + unseen, expected) >= 1e-6

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -17,6 +18,8 @@ from phaseamp import cli, experiments, graphs
 from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
 from phaseamp.errors import LIMITS, InvalidParameterError
 from phaseamp.graphs import format_graph_file, make_line
+
+from .oracles import ref_objective
 
 
 def run_cli(capsys, *argv):
@@ -284,8 +287,11 @@ class TestAmplifyVerb:
         assert doc["tail"]["conditional"] == 0.0
         assert doc["tail"]["unconditional"] == 0.0
 
-    def test_negative_sample_is_exit_2_before_any_work(self, capsys):
-        # line:40 is past every enumeration cap, so reaching it would be exit 3.
+    def test_negative_sample_is_exit_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph read before --sample was checked")
+
+        monkeypatch.setattr(cli, "parse_graph_spec", refuse)
         code, out, err = run_cli(
             capsys, "amplify", "--graph", "line:40", "--successes", "1", "--sample", "-4"
         )
@@ -293,17 +299,72 @@ class TestAmplifyVerb:
         assert out == ""
         assert err.count("\n") == 1 and "--sample" in err
 
-    def test_class_table_cap_is_exit_3_before_any_histogram(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (
+                ["--sample", "100000000000"],
+                3,
+                f"error: --sample capped at {LIMITS['samples'][0]} draws, got 100000000000\n",
+            ),
+            (["--sample", "2", "--seed", "-1"], 2, "error: --seed must be nonnegative, got -1\n"),
+            (["--seed", "-3"], 2, "error: --seed must be nonnegative, got -3\n"),
+        ],
+    )
+    def test_sample_cap_and_seed_are_checked_before_any_work(
+        self, capsys, monkeypatch, flags, code, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph read before the sampling flags were checked")
+
+        monkeypatch.setattr(cli, "parse_graph_spec", refuse)
+        argv = ["amplify", "--graph", "line:4", "--successes", "1", *flags]
+        assert run_cli(capsys, *argv) == (code, "", message)
+
+    def test_class_table_cap_is_exit_3_before_any_histogram(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # K_21 is too wide for the frontier DP, so it samples from a class table.
+        path = tmp_path / "k21.graph"
+        complete = graphs.Graph(21, tuple(itertools.combinations(range(21), 2)))
+        path.write_text(format_graph_file(complete))
+
         def refuse(*args, **kwargs):
             raise AssertionError("histogram built before the class-table cap was checked")
 
         monkeypatch.setattr(cli, "build_histogram", refuse)
         code, out, err = run_cli(
-            capsys, "amplify", "--graph", "line:21", "--successes", "3", "--sample", "1"
+            capsys, "amplify", "--graph", str(path), "--successes", "3", "--sample", "1"
         )
         assert code == 3
         assert out == ""
         assert err == "error: class tables capped at 20 vertices, got 21\n"
+
+    @pytest.mark.parametrize(
+        "spec, count", [("line:21", 100), ("grid:7x8", 1000), ("line:62", 10)]
+    )
+    def test_sampling_past_the_class_table_cap(self, capsys, spec, count):
+        # Past 32 bits only the plain-Python scorer reads these assignments.
+        doc = run_json(
+            capsys, "amplify", "--graph", spec, "--successes", "10", "--sample", str(count)
+        )
+        g = graphs.parse_graph_spec(spec)
+        assert len(doc["samples"]) == count
+        for x in doc["samples"]:
+            assert type(x) is int and 0 < x < 1 << g.n_vertices
+            assert doc["weights"][ref_objective("maxcut", g.n_vertices, g.edges, x)] > 0
+
+    @pytest.mark.parametrize("route", ["frontier", "enumeration"])
+    def test_level_0_holds_the_zeros_only_with_include_zero(self, capsys, monkeypatch, route):
+        # Without any measurement, level 0 of line:4 MaxCut has weight 1/15:
+        # the all-ones assignment only, or 2/16 with the all-zeros one too.
+        forced = {"frontier": graphs.frontier_order, "enumeration": lambda g: None}[route]
+        monkeypatch.setattr(cli.amplifier, "frontier_route", lambda g, keep_tables: forced(g))
+        argv = ["amplify", "--graph", "line:4", "--successes", "0", "--sample", "3000"]
+        samples = run_json(capsys, *argv)["samples"]
+        assert 0b1111 in samples and 0 not in samples
+        samples = run_json(capsys, *argv, "--include-zero")["samples"]
+        assert 0b1111 in samples and 0 in samples
 
     def test_sampling_is_one_draw_call_on_one_read_of_the_graph(
         self, capsys, tmp_path, monkeypatch
@@ -821,6 +882,7 @@ class TestVerifyOracleVerb:
             ("--max-seq", "-1"),
             ("--sets", "0"),
             ("--sets", "-1"),
+            ("--seed", "-1"),
         ],
     )
     def test_empty_plan_names_the_flag(self, capsys, flag, value):
@@ -1001,15 +1063,18 @@ class TestTopLevel:
             r"by a frontier DP when its largest table holds at most (\d+) counts and "
             r"its table work is below the 2\^n·\|E\| edge scores of enumeration, and "
             r"otherwise by enumeration, for graphs of at most (\d+) vertices; optima "
-            r"enumerate graphs of at most (\d+) vertices, class tables and assignment "
-            r"sampling at most (\d+); the dense oracle is capped at N=(\d+) / (\d+) "
-            r"measurements; exact `twopeak` results at (\d+) digits",
+            r"enumerate graphs of at most (\d+) vertices; assignment sampling keeps "
+            r"every frontier DP table when they hold at most (\d+) counts together, "
+            r"and otherwise enumerates a class table, for graphs of at most (\d+) "
+            r"vertices on that route only; `--sample` draws at most (\d+) assignments; "
+            r"the dense oracle is capped at N=(\d+) / (\d+) measurements; exact "
+            r"`twopeak` results at (\d+) digits",
             text,
         )
         assert caps is not None
         budgets = (
-            "histogram", "frontier", "enumeration", "enumeration", "class_table",
-            "dense_support", "dense_sequence", "exact_digits",
+            "histogram", "frontier", "enumeration", "enumeration", "frontier",
+            "class_table", "samples", "dense_support", "dense_sequence", "exact_digits",
         )
         assert tuple(int(v) for v in caps.groups()) == tuple(
             LIMITS[b][0] for b in budgets

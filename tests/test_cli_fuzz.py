@@ -92,7 +92,7 @@ ARGVS = st.one_of(
     ),
     _verb(
         "amplify", SOURCE, RECORD, _opt("--tail-at", _text(ANGLES)),
-        _opt("--sample", _int(-2, 4)), _opt("--seed", _int(0, 9)),
+        _opt("--sample", _int(-2, 4)), _opt("--seed", _int(-2, 9)),
         _switch("--include-zero"),
     ),
     _verb(
@@ -113,7 +113,7 @@ ARGVS = st.one_of(
     ),
     _verb(
         "verify-oracle", _opt("--max-qubits", _int(-2, 12)), _opt("--max-seq", _int(-2, 9)),
-        _req("--sets", _int(-1, 3)), _opt("--seed", _int(0, 9)),
+        _req("--sets", _int(-1, 3)), _opt("--seed", _int(-2, 9)),
     ),
     _verb("grid-table", _opt("--grid", _text(GRIDS)), _opt("--successes", LENGTHS.map(str))),
 )
@@ -148,6 +148,8 @@ def _run(argv: list[str]) -> tuple[int, str, str, bool]:
 @example(argv=["verify-oracle", "--max-qubits", "0", "--sets", "2"])
 @example(argv=["verify-oracle", "--max-qubits", "-1", "--sets", "2"])
 @example(argv=["amplify", "--graph", "line:21", "--successes", "3", "--sample", "1"])
+@example(argv=["amplify", "--graph", "line:2", "--successes", "1", "--sample", "100000000000"])
+@example(argv=["verify-oracle", "--sets", "2", "--seed", "-1"])
 @example(argv=["amplify", "--graph", "starring:5", "--sequence", "10" * 700])
 @example(argv=["twopeak", "--q-u", "1/8", "--a-l", "1/8", "--a-u", "2",
                "--target-ratio", "1e400"])
@@ -174,11 +176,19 @@ def test_every_argv_gives_a_report_or_a_one_line_error(argv):
             assert code == 2 and "--max-seq" in err, (argv, err)
         elif int(_flag(argv, "--sets", "50")) < 1:
             assert code == 2 and "--sets" in err, (argv, err)
+        elif int(_flag(argv, "--seed", "0")) < 0:
+            assert code == 2 and "--seed" in err, (argv, err)
         elif 1 << qubits > LIMITS["dense_support"][0]:
             assert code == 3 and err.startswith("error: --max-qubits "), (argv, err)
             assert err.endswith(f"got {qubits}\n"), (argv, err)
-    if verb == "amplify" and int(_flag(argv, "--sample", "0")) < 0:
-        assert code == 2 and "--sample" in err, (argv, err)
+    if verb == "amplify":
+        sample = int(_flag(argv, "--sample", "0"))
+        if sample < 0:
+            assert code == 2 and "--sample" in err, (argv, err)
+        elif sample > LIMITS["samples"][0]:
+            assert code == 3 and err.startswith("error: --sample "), (argv, err)
+        elif int(_flag(argv, "--seed", "0")) < 0:
+            assert code == 2 and "--seed" in err, (argv, err)
     if verb == "hist" and _flag(argv, "--graph", None) == ".":
         assert code == 2 and "'.'" in err, (argv, err)
     if code != 0:

@@ -147,7 +147,7 @@ class TestFrontierRoute:
     def test_complete_graph_enumerates(self, monkeypatch, n):
         # K_12's table fits, but its work is past enumeration's; K_16's table does not fit.
         g = Graph(n, tuple(itertools.combinations(range(n), 2)))
-        largest, work = encoding._frontier_cost(graphs.frontier_order(g))
+        largest, _, work = encoding._frontier_cost(graphs.frontier_order(g))
         fits = largest <= LIMITS["frontier"][0]
         assert fits == (n == 12)
         assert work > (1 << n) * g.edge_count
@@ -167,6 +167,18 @@ class TestFrontierRoute:
         for k in range(n + 1):
             binomial[k * (n - k)] += math.comb(n, k)
         assert np.array_equal(expected[ObjectiveKind.MAXCUT], binomial)
+
+    def test_sampling_keeps_every_table_within_the_cap(self):
+        # grid:8x30's tables fit one at a time, but not all together.
+        for spec, stored in (("grid:4x5", 7282), ("line:20", 838), ("grid:7x8", 434850)):
+            g = parse_graph_spec(spec)
+            assert encoding._frontier_cost(graphs.frontier_order(g))[1] == stored
+            assert encoding.frontier_route(g, keep_tables=True) == graphs.frontier_order(g)
+        g = parse_graph_spec("grid:8x30")
+        largest, stored, _ = encoding._frontier_cost(graphs.frontier_order(g))
+        assert largest <= LIMITS["frontier"][0] < stored
+        assert encoding.frontier_route(g) is not None
+        assert encoding.frontier_route(g, keep_tables=True) is None
 
     @pytest.mark.parametrize("spec", ["line:6", "grid:3x4", "starring:9", "grid:2x5"])
     def test_frontier_counts_match_enumeration(self, spec):

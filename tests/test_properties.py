@@ -5,14 +5,16 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from phaseamp import encoding
+from phaseamp import amplifier, encoding
 from phaseamp import (
+    ClassState,
     Graph,
     ImpossibleOutcomeError,
     MeasurementSequence,
@@ -27,6 +29,7 @@ from phaseamp import (
     initial_state,
     run_sequence,
     run_sequence_fullsim,
+    sample_assignment,
     sampling_comparison,
     sequence_probability,
     step,
@@ -273,6 +276,43 @@ class TestGraphHistograms:
         table = build_class_table(g, objective)
         x = data.draw(st.integers(min_value=1, max_value=2**g.n_vertices - 1))
         assert table.levels[x] == ref_objective(objective.value, g.n_vertices, g.edges, x)
+
+
+class TestFrontierSampling:
+    """Sampling through the frontier DP's tables, against the plain-Python scorer."""
+
+    @given(g=random_graphs(max_vertices=12, max_edges=30))
+    @settings(deadline=None, max_examples=40)
+    def test_ranks_name_every_member_of_their_level_once(self, g):
+        steps = frontier_order(g)
+        for objective in ObjectiveKind:
+            is_cut = objective is ObjectiveKind.MAXCUT
+            tables = list(encoding.frontier_tables(steps, is_cut))
+            counts = encoding.level_totals(tables[-1])
+            levels = np.repeat(np.arange(counts.size), counts)
+            ranks = np.concatenate([np.arange(c) for c in counts])
+            members = encoding.frontier_members(steps, tables, levels, ranks, is_cut)
+            # Every assignment once, each at its own level; rank 0 of level 0 is 0.
+            assert sorted(members.tolist()) == list(range(2**g.n_vertices))
+            for x, level in zip(members.tolist(), levels.tolist()):
+                assert ref_objective(objective.value, g.n_vertices, g.edges, x) == level
+            assert members[0] == 0
+
+    @given(g=random_graphs(max_vertices=12, max_edges=30), data=st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_draws_lie_in_the_support_at_their_level(self, g, data):
+        objective = data.draw(st.sampled_from(ObjectiveKind))
+        include_zero = data.draw(st.booleans())
+        h = build_histogram(g, objective, include_zero=include_zero)
+        level = data.draw(st.sampled_from(np.flatnonzero(h.counts).tolist()))
+        weights = (np.arange(h.n_levels) == level).astype(float)
+        seed = data.draw(st.integers(0, 9))
+        with patch.object(amplifier, "frontier_route", lambda g, keep_tables: frontier_order(g)):
+            draws = sample_assignment(ClassState(h, weights, 0.0), g, objective, 60, seed)
+        first = 0 if include_zero else 1
+        for x in draws.tolist():
+            assert first <= x < 2**g.n_vertices
+            assert ref_objective(objective.value, g.n_vertices, g.edges, x) == level
 
 
 class TestDenseOracle:
