@@ -85,6 +85,10 @@ class ClassState:
 
     The outcomes themselves are not kept: the weights and the running log
     probability are all that later steps and every observable read.
+
+    A state a caller builds is checked in full here. :func:`step` builds its
+    states through :meth:`_after_step`, which trusts what holds by
+    construction.
     """
 
     histogram: PhaseHistogram
@@ -95,16 +99,41 @@ class ClassState:
         w = np.asarray(self.weights, dtype=np.float64).copy()
         if w.shape != (self.histogram.n_levels,):
             raise InvalidParameterError("one weight per histogram level required")
+        if not np.all(np.isfinite(w)):
+            raise InvalidParameterError("weights must be finite")
         if np.any(w < 0):
             raise InvalidParameterError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_ATOL:
-            raise InvalidParameterError("weights must sum to 1")
         if np.any(w[self.histogram.counts == 0] != 0):
             raise InvalidParameterError("weights on empty levels must be 0")
-        if self.log_sequence_probability > ANGLE_ATOL:
-            raise InvalidParameterError("log probability must be nonpositive")
+        if not math.isfinite(self.log_sequence_probability):
+            raise InvalidParameterError("log probability must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        self._check_sums()
+
+    def _check_sums(self) -> None:
+        """The checks that rounding can trip, written so that NaN fails them."""
+        if not abs(float(self.weights.sum()) - 1.0) <= _WEIGHT_SUM_ATOL:
+            raise InvalidParameterError("weights must sum to 1")
+        if not self.log_sequence_probability <= ANGLE_ATOL:
+            raise InvalidParameterError("log probability must be nonpositive")
+
+    @classmethod
+    def _after_step(
+        cls, histogram: PhaseHistogram, weights: np.ndarray, log_sequence_probability: float
+    ) -> "ClassState":
+        """The state :func:`step` builds from ``raw / p``, a fresh array.
+
+        Its shape, signs and zero weight on empty levels hold by
+        construction, so only :meth:`_check_sums` runs.
+        """
+        state = object.__new__(cls)
+        weights.flags.writeable = False
+        object.__setattr__(state, "histogram", histogram)
+        object.__setattr__(state, "weights", weights)
+        object.__setattr__(state, "log_sequence_probability", log_sequence_probability)
+        state._check_sums()
+        return state
 
     @property
     def probability(self) -> float:
@@ -117,11 +146,6 @@ def initial_state(h: PhaseHistogram) -> ClassState:
     return ClassState(h, h.counts / h.support, 0.0)
 
 
-def _branch_factors(h: PhaseHistogram, outcome: int) -> np.ndarray:
-    c = np.cos(h.thetas)
-    return (1.0 - c) / 2.0 if outcome else (1.0 + c) / 2.0
-
-
 def step(state: ClassState, outcome: int) -> tuple[ClassState, float]:
     """Condition the state on one more recorded outcome.
 
@@ -129,14 +153,15 @@ def step(state: ClassState, outcome: int) -> tuple[ClassState, float]:
     """
     if outcome not in (0, 1):
         raise InvalidParameterError("outcome must be 0 or 1")
-    raw = state.weights * _branch_factors(state.histogram, outcome)
+    zero, one = state.histogram.branch_factors
+    raw = state.weights * (one if outcome else zero)
     p = float(raw.sum())
-    if p <= 0.0:
+    if not p > 0.0:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} has probability 0 given the outcomes recorded so far"
         )
-    new = ClassState(state.histogram, raw / p, state.log_sequence_probability + math.log(p))
-    return new, p
+    log_p = state.log_sequence_probability + math.log(p)
+    return ClassState._after_step(state.histogram, raw / p, log_p), p
 
 
 def run_sequence(h: PhaseHistogram, y: MeasurementSequence) -> tuple[ClassState, float]:

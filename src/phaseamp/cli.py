@@ -11,6 +11,7 @@ outcome. A path that cannot be read or written is invalid input (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -367,7 +368,9 @@ def _add_histogram_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="phase-amp",
         description="Simulate and analyze measurement-driven phase amplification "

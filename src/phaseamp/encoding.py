@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     ResourceLimitError,
     check_limit,
 )
-from .graphs import Graph, ObjectiveKind, frontier_order, scored_assignments
+from .graphs import Graph, ObjectiveKind, scored_assignments
 from .meta import SCHEMA_VERSION
 
 # Tolerance used whenever an external angle is compared against level positions.
@@ -83,6 +84,16 @@ class PhaseHistogram:
     def weights(self) -> np.ndarray:
         """Counts normalized to a probability vector."""
         return self.counts / self.support
+
+    @cached_property
+    def branch_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-level factors of outcomes 0 and 1, ``(1 + cos theta) / 2`` and
+        ``(1 - cos theta) / 2``; computed once per histogram, read only."""
+        c = np.cos(self.thetas)
+        factors = (1.0 + c) / 2.0, (1.0 - c) / 2.0
+        for f in factors:
+            f.flags.writeable = False
+        return factors
 
     def tail_levels(self, theta: float) -> np.ndarray:
         """Mask of the levels at angles >= theta (tolerant at boundaries)."""
@@ -150,7 +161,7 @@ def build_histogram(
         vertex_cap, vertex_unit = LIMITS["enumeration"]
         if g.n_vertices > vertex_cap:
             table_cap, table_unit = LIMITS["frontier"]
-            largest = _frontier_cost(frontier_order(g))[0]
+            largest = _frontier_cost(g.frontier_steps)[0]
             raise ResourceLimitError(
                 f"histograms capped at a frontier table of {table_cap} {table_unit}"
                 f" (got {largest}) or enumeration of {vertex_cap} {vertex_unit}"
@@ -211,7 +222,7 @@ def frontier_route(g: Graph, keep_tables: bool = False) -> list[_Step] | None:
     enumeration. With ``keep_tables``, as for sampling, which keeps every
     table, the tables together must fit that cap too.
     """
-    steps = frontier_order(g)
+    steps = list(g.frontier_steps)
     largest, stored, work = _frontier_cost(steps)
     table_cap = LIMITS["frontier"][0]
     fits = largest <= table_cap and (stored <= table_cap or not keep_tables)

@@ -20,7 +20,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .amplifier import initial_state, step, tail_probability
+from .amplifier import initial_state, step
 from .encoding import PhaseHistogram, build_histogram
 from .errors import InvalidParameterError
 from .graphs import ObjectiveKind, parse_graph_spec
@@ -115,19 +115,21 @@ def success_trajectory(
     if m_max < 0:
         raise InvalidParameterError("iteration range must be nonnegative")
     optimal_level = int(np.max(np.nonzero(h.counts)[0]))
+    half, three_quarters = h.tail_levels(math.pi / 2), h.tail_levels(3 * math.pi / 4)
     state, p = initial_state(h), 1.0
     records = []
     for m in range(m_max + 1):
         if m:
             state, p = step(state, 1)
+        w = state.weights
         records.append(
             IterationRecord(
                 m,
                 p,
                 state.probability,
-                float(state.weights[optimal_level]),
-                tail_probability(state, math.pi / 2),
-                tail_probability(state, 3 * math.pi / 4),
+                float(w[optimal_level]),
+                float(w[half].sum()),
+                float(w[three_quarters].sum()),
             )
         )
     return RunReport(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -77,6 +78,11 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def frontier_steps(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        """:func:`frontier_order` of this graph, computed once per graph."""
+        return tuple(frontier_order(self))
 
 
 def make_line(q: int) -> Graph:

@@ -3,7 +3,8 @@
 Everything here is deliberately plain Python written in a different style
 from the package (string bit fiddling, Counter bookkeeping, per-assignment
 loops, direct summation), so agreement between the two routes actually
-means something.
+means something. The exception is :func:`ref_validating_step`, which is
+the package's former fold step, kept as the oracle of the one that replaced it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
+
+from phaseamp import ClassState, ImpossibleOutcomeError
 
 
 def bits_of(x: int, n: int) -> str:
@@ -113,6 +118,22 @@ def ref_conditional_weights(thetas, counts, outcomes) -> list[float]:
         raw.append(term)
     z = math.fsum(raw)
     return [w / z for w in raw]
+
+
+def ref_validating_step(state: ClassState, outcome: int) -> tuple[ClassState, float]:
+    """One fold step as the package took it before its trusted path: the
+    branch factors recomputed from the angles, and the new state built
+    through the full ``ClassState`` check."""
+    c = np.cos(state.histogram.thetas)
+    factors = (1.0 - c) / 2.0 if outcome else (1.0 + c) / 2.0
+    raw = state.weights * factors
+    p = float(raw.sum())
+    if p <= 0.0:
+        raise ImpossibleOutcomeError(
+            f"outcome {outcome} has probability 0 given the outcomes recorded so far"
+        )
+    new = ClassState(state.histogram, raw / p, state.log_sequence_probability + math.log(p))
+    return new, p
 
 
 def ref_tail_mass(thetas, counts, theta: float, atol: float = 1e-12) -> float:

@@ -390,6 +390,23 @@ class TestAmplifyVerb:
         assert len(doc["samples"]) == 500
         assert all(type(x) is int and 0 < x < 1 << 6 for x in doc["samples"])
 
+    def test_sampling_orders_the_vertices_once(self, capsys, monkeypatch):
+        # The pre-check, the histogram and the sampler share one frontier order.
+        calls = []
+        original = graphs.frontier_order
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "frontier_order", counted)
+        argv = ["amplify", "--graph", "grid:4x5", "--successes", "10", "--sample", "10"]
+        doc = run_json(capsys, *argv, "--seed", "3")
+        assert len(calls) == 1
+        assert doc["samples"] == [
+            796230, 889947, 513357, 87765, 953187, 952721, 554077, 95078, 664669, 681589
+        ]
+
     def test_writes_report(self, capsys, tmp_path):
         run_json(
             capsys,
@@ -1022,6 +1039,41 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # Defaults and earlier values must not leak from one call into the next.
+        argvs = [
+            ["amplify", "--graph", "line:5", "--successes", "3", "--sample", "4", "--seed", "2"],
+            ["amplify", "--graph", "line:5", "--successes", "3"],
+            ["hist", "--graph", "line:4", "--format", "csv"],
+            ["hist", "--uniform", "3"],
+            ["bounds", "--p-run", "0.5", "--m", "3", "--theta-ref", "pi/2", "--p01", "0.2"],
+            ["bounds", "--p-run", "0.5", "--m", "3", "--theta-ref", "pi/2"],
+            ["amplify", "--graph", "line:5"],
+            ["figures", "--experiment", "nope"],
+            ["hist", "--graph", "line:63"],
+            ["amplify", "--uniform", "1", "--sequence", "0"],
+            ["verify-oracle", "--sets", "0"],
+            ["--version"],
+            ["uniform-asymptotics", "--m", "4", "--theta", "pi/2"],
+            ["uniform-asymptotics", "--m", "4"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        shared = [run(argv) for argv in argvs]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert {code for code, _, _ in shared} == {0, 2, 3, 4}
 
     @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
     def test_runs_as_a_module(self, capsys, monkeypatch):

@@ -13,14 +13,16 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phaseamp import amplifier, experiments
 from phaseamp.cli import main
 from phaseamp.errors import LIMITS
 from phaseamp.graphs import ObjectiveKind, parse_graph_spec
 
-from .oracles import ref_objective
+from .oracles import ref_objective, ref_validating_step
 
 # "." is a directory, which no graph file can be.
 GRAPHS = (
@@ -220,6 +222,32 @@ def _check_samples(argv: list[str], doc: dict) -> None:
     for x in samples:
         assert type(x) is int and first <= x < 1 << g.n_vertices, (argv, x)
         assert doc["weights"][ref_objective(kind, g.n_vertices, g.edges, x)] > 0, (argv, x)
+
+
+# The amplify and verify-oracle @examples above, and runs of each that succeed.
+FOLD_ARGVS = [
+    ["verify-oracle", "--max-seq", "-1", "--sets", "2"],
+    ["verify-oracle", "--max-qubits", "0", "--sets", "2"],
+    ["verify-oracle", "--max-qubits", "-1", "--sets", "2"],
+    ["verify-oracle", "--sets", "2", "--seed", "-1"],
+    ["verify-oracle", "--max-qubits", "6", "--max-seq", "8", "--sets", "3", "--seed", "5"],
+    ["amplify", "--graph", "line:21", "--successes", "3", "--sample", "1"],
+    ["amplify", "--graph", "line:2", "--successes", "1", "--sample", "100000000000"],
+    ["amplify", "--graph", "starring:5", "--sequence", "10" * 700],
+    ["amplify", "--graph", "grid:3x3", "--objective", "cover", "--sequence", "1101" * 50,
+     "--sample", "20", "--seed", "4"],
+    ["amplify", "--graph", "line:7", "--sequence", "0" * 9],
+    ["amplify", "--uniform", "1", "--sequence", "110"],
+    ["grid-table", "--grid", "grid:3x3", "--successes", "40"],
+]
+
+
+@pytest.mark.parametrize("argv", FOLD_ARGVS)
+def test_fold_prints_what_the_validating_step_printed(monkeypatch, argv):
+    trusted = _run(argv)
+    monkeypatch.setattr(amplifier, "step", ref_validating_step)
+    monkeypatch.setattr(experiments, "step", ref_validating_step)
+    assert _run(argv) == trusted
 
 
 FIGURES_ARGVS = _verb(
