@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .encoding import (
     ANGLE_ATOL,
     PhaseHistogram,
+    _Step,
     build_class_table,
     frontier_members,
     frontier_route,
@@ -47,10 +49,9 @@ class MeasurementSequence:
     outcomes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        outs = tuple(int(b) for b in self.outcomes)
-        if any(b not in (0, 1) for b in outs):
+        if any(b not in (0, 1) for b in self.outcomes):
             raise InvalidParameterError("outcomes must be 0/1 bits")
-        object.__setattr__(self, "outcomes", outs)
+        object.__setattr__(self, "outcomes", tuple(int(b) for b in self.outcomes))
 
     @classmethod
     def from_string(cls, text: str) -> "MeasurementSequence":
@@ -214,6 +215,17 @@ def unconditional_tail_probability(state: ClassState, theta: float) -> float:
     return state.probability * tail_probability(state, theta)
 
 
+def sampling_route(graph: Graph) -> list[_Step] | None:
+    """The frontier DP's steps when sampling reads members from its tables
+    (:func:`frontier_route` with every table kept), else None for a class
+    table. Refuses a graph past its route's cap, before any work."""
+    check_limit("histogram", graph.n_vertices, "assignment sampling")
+    steps = frontier_route(graph, keep_tables=True)
+    if steps is None:
+        check_limit("class_table", graph.n_vertices, "class tables")
+    return steps
+
+
 def sample_assignment(
     state: ClassState,
     graph: Graph,
@@ -224,24 +236,24 @@ def sample_assignment(
     """Draw ``count`` assignments of ``graph``: each a level per the state
     weights, then a uniform member of that level. The draws are one batch.
 
-    Members come from the frontier DP's tables when :func:`frontier_route`
-    takes the DP with every table kept, each by a uniform integer rank
-    (:func:`frontier_members`); otherwise from an enumerated class table.
-    Either route's level counts must equal the state's histogram.
+    Each member is named by a uniform integer rank below its level's count
+    and read by the reader of the route :func:`sampling_route` picks,
+    :func:`frontier_members` or :meth:`ClassTable.members`. Either route's
+    level counts must equal the state's histogram.
     """
     if count < 0:
         raise InvalidParameterError(f"sample count must be nonnegative, got {count}")
-    check_limit("histogram", graph.n_vertices, "assignment sampling")
     h = state.histogram
     is_cut = ObjectiveKind.coerce(objective) is ObjectiveKind.MAXCUT
-    steps = frontier_route(graph, keep_tables=True)
+    steps = sampling_route(graph)
     if steps is None:
-        table = build_class_table(graph, objective, include_zero=h.includes_zero)
-        sizes = table.class_sizes()
+        table = build_class_table(graph, objective)
+        sizes, members = table.class_sizes(), table.members
     else:
         tables = list(frontier_tables(steps, is_cut))
         sizes = level_totals(tables[-1])
-        sizes[0] -= not h.includes_zero
+        members = partial(frontier_members, steps, tables, is_cut=is_cut)
+    sizes[0] -= not h.includes_zero
     if not np.array_equal(sizes, h.counts):
         raise InvalidParameterError("the graph's level counts do not match the histogram")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
@@ -249,14 +261,6 @@ def sample_assignment(
     drawn = np.searchsorted(cumulative, gen.random(count) * cumulative[-1], side="right")
     # A draw that rounds up to the total lands on the last level of positive weight.
     levels = np.minimum(drawn, np.flatnonzero(state.weights)[-1])
-    if steps is not None:
-        # Rank 0 of level 0 is the all-zeros assignment, which an excluded zero skips.
-        skip = (levels == 0) & (not h.includes_zero)
-        ranks = gen.integers(h.counts[levels]) + skip
-        return frontier_members(steps, tables, levels, ranks, is_cut)
-    samples = np.empty(count, dtype=np.int64)
-    for level in np.unique(levels):
-        at_level = levels == level
-        members = table.members(int(level))
-        samples[at_level] = members[gen.integers(members.size, size=int(at_level.sum()))]
-    return samples
+    # Rank 0 of level 0 is the all-zeros assignment, which an excluded zero skips.
+    ranks = gen.integers(h.counts[levels]) + ((levels == 0) & (not h.includes_zero))
+    return members(levels, ranks)

@@ -18,9 +18,9 @@ import sys
 from fractions import Fraction
 
 from . import amplifier, analytics, experiments, fullsim
-from .encoding import build_histogram, frontier_route, uniform_histogram
+from .encoding import build_histogram, uniform_histogram
 from .errors import LIMITS, InvalidParameterError, PhaseAmpError, ResourceLimitError, check_limit
-from .experiments import FORMATS, json_text, slug, write_files
+from .experiments import FORMATS, json_text, report_probability, slug, write_files
 from .graphs import (
     ObjectiveKind,
     brute_force_optima,
@@ -73,11 +73,6 @@ def _num(value) -> object:
     if math.isinf(v):
         return {"exact": "infinity", "value": None}
     return v
-
-
-def _probability(value: float, positive: bool) -> float | None:
-    """A probability for JSON: None where a positive value underflowed to 0.0."""
-    return None if value == 0.0 and positive else value
 
 
 def _print_json(doc: dict) -> None:
@@ -161,8 +156,7 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
     if args.sample:
         if graph is None:
             raise InvalidParameterError("assignment sampling needs a graph source")
-        if frontier_route(graph, keep_tables=True) is None:
-            check_limit("class_table", graph.n_vertices, "class tables")
+        amplifier.sampling_route(graph)
     h, label = _histogram_for(args, graph)
     # The fold refuses an impossible record, so the record's probability is positive.
     state, probability = amplifier.run_sequence(h, y)
@@ -174,9 +168,9 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
         "sequence": str(y),
         "m": y.m,
         "q": y.q,
-        "probability": _probability(probability, True),
+        "probability": report_probability(probability, True),
         "log_probability": state.log_sequence_probability,
-        "closed_form_probability": _probability(
+        "closed_form_probability": report_probability(
             math.exp(closed_form_log), closed_form_log > -math.inf
         ),
         "closed_form_log_probability": closed_form_log,
@@ -185,7 +179,7 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
         "tail": {
             "theta": theta,
             "conditional": conditional,
-            "unconditional": _probability(
+            "unconditional": report_probability(
                 amplifier.unconditional_tail_probability(state, theta), conditional > 0.0
             ),
         },

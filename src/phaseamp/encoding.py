@@ -4,9 +4,9 @@ An assignment scoring ``f`` out of ``|E|`` edges is encoded at angle
 ``pi * f / |E|``, so scores land on the grid ``k * pi / |E|`` with the
 optimum at the top of ``[0, pi]``. Everything downstream only needs the
 number of assignments per level, which is what :class:`PhaseHistogram`
-stores. Individual assignments are sampled from the frontier DP's tables
-(:func:`frontier_members`), or, on graphs it does not take, from a
-:class:`ClassTable`, which keeps the level of every assignment.
+stores. Assignments are sampled by rank within their level, read from the
+frontier DP's tables (:func:`frontier_members`) or, on graphs it does not
+take, from a :class:`ClassTable`, the level of every assignment.
 """
 
 from __future__ import annotations
@@ -51,7 +51,12 @@ class PhaseHistogram:
 
     def __post_init__(self) -> None:
         thetas = np.asarray(self.thetas, dtype=np.float64).copy()
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "biu" and not (
+            counts.dtype.kind == "f" and np.all(np.isfinite(counts) & (counts == np.trunc(counts)))
+        ):
+            raise InvalidParameterError("histogram counts must be whole numbers")
+        counts = counts.astype(np.int64)
         if thetas.ndim != 1 or counts.shape != thetas.shape or thetas.size == 0:
             raise InvalidParameterError("histogram needs matching 1-d thetas and counts")
         if np.any(~np.isfinite(thetas)):
@@ -367,47 +372,35 @@ def histogram_from_phases(phases: Sequence[float]) -> PhaseHistogram:
 
 
 class ClassTable:
-    """The level of every assignment, indexed by the assignment.
+    """The level of every assignment of a graph, indexed by the assignment."""
 
-    Without ``includes_zero`` the all-zeros assignment is outside the support:
-    it is in no class and never a member.
-    """
-
-    def __init__(self, levels: np.ndarray, n_levels: int, includes_zero: bool) -> None:
+    def __init__(self, levels: np.ndarray, n_levels: int) -> None:
         levels = np.asarray(levels, dtype=np.int32).copy()
         if levels.ndim != 1 or levels.size < 1:
             raise InvalidParameterError("class table needs a 1-d level array")
-        self.n_levels = int(n_levels)
-        self.includes_zero = bool(includes_zero)
-        included = levels[self._first :]
-        if included.size and (included.min() < 0 or included.max() >= self.n_levels):
+        if levels.min() < 0 or levels.max() >= n_levels:
             raise InvalidParameterError("level indices out of range")
         levels.flags.writeable = False
         self.levels = levels
-
-    @property
-    def _first(self) -> int:
-        """The smallest supported assignment."""
-        return 0 if self.includes_zero else 1
+        self.n_levels = int(n_levels)
 
     def class_sizes(self) -> np.ndarray:
-        """Number of supported assignments per level."""
-        return np.bincount(self.levels[self._first :], minlength=self.n_levels)
+        """Number of assignments per level."""
+        return np.bincount(self.levels, minlength=self.n_levels)
 
-    def members(self, level: int) -> np.ndarray:
-        """All supported assignments at one level, in increasing order."""
-        if not (0 <= level < self.n_levels):
-            raise InvalidParameterError(f"level {level} out of range")
-        return np.flatnonzero(self.levels[self._first :] == level) + self._first
+    def members(self, levels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The member of rank ``ranks[i]`` among the assignments at ``levels[i]``,
+        rank 0 being the smallest; each rank must lie below its level's size."""
+        sizes = self.class_sizes()
+        by_level = np.argsort(self.levels, kind="stable")
+        return by_level[np.cumsum(sizes)[levels] - sizes[levels] + ranks]
 
 
-def build_class_table(
-    g: Graph, objective: ObjectiveKind | str, include_zero: bool = False
-) -> ClassTable:
+def build_class_table(g: Graph, objective: ObjectiveKind | str) -> ClassTable:
     """Materialize the level of every assignment of ``g``."""
     check_limit("class_table", g.n_vertices, "class tables")
     if g.edge_count < 1:
         raise InvalidGraphError("phase encoding needs at least one edge")
     chunks = scored_assignments(g, objective, "class tables")
     levels = np.concatenate([vals for _, vals in chunks], dtype=np.int32)
-    return ClassTable(levels, g.edge_count + 1, include_zero)
+    return ClassTable(levels, g.edge_count + 1)

@@ -33,8 +33,14 @@ FIG2_GRAPHS = ("line:12", "grid:4x4", "starring:16")
 _CSV_HEADER = "m,p_individual,P_sequence,p_optimal_conditional"
 
 
-def _fnum(v: float) -> str:
-    return format(float(v), ".12g")
+def report_probability(value: float, positive: bool) -> float | None:
+    """A probability as a report prints it: None where a positive value
+    underflowed to 0.0, so JSON prints null and CSV an empty cell."""
+    return None if value == 0.0 and positive else value
+
+
+def _fnum(v: float | None) -> str:
+    return "" if v is None else format(float(v), ".12g")
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,10 @@ class IterationRecord:
 
     ``p_individual`` is the branch probability of the m-th success (1.0 on
     the m = 0 row), ``p_sequence`` the cumulative probability of the all-ones
-    record so far, ``p_optimal_conditional`` the conditional weight of the
-    top populated level. The two tails are conditional masses at angles at
-    least pi/2, respectively at least 3*pi/4.
+    record so far (positive, since the fold refuses an impossible record),
+    ``p_optimal_conditional`` the conditional weight of the top populated
+    level. The two tails are conditional masses at angles at least pi/2,
+    respectively at least 3*pi/4.
     """
 
     m: int
@@ -59,7 +66,7 @@ class IterationRecord:
         return {
             "m": self.m,
             "p_individual": self.p_individual,
-            "P_sequence": self.p_sequence,
+            "P_sequence": report_probability(self.p_sequence, True),
             "p_optimal_conditional": self.p_optimal_conditional,
             "tail": {
                 "ge_half_pi": self.tail_ge_half_pi,
@@ -84,7 +91,7 @@ class RunReport:
     def to_csv(self) -> str:
         lines = [_CSV_HEADER]
         lines.extend(
-            f"{r.m},{_fnum(r.p_individual)},{_fnum(r.p_sequence)},"
+            f"{r.m},{_fnum(r.p_individual)},{_fnum(report_probability(r.p_sequence, True))},"
             f"{_fnum(r.p_optimal_conditional)}"
             for r in self.records
         )
@@ -213,7 +220,7 @@ class GridTableReport:
             "successes": self.m,
             "initial_optimal_probability": self.initial_optimal_probability,
             "conditional_optimal_probability": self.conditional_optimal_probability,
-            "run_probability": self.run_probability,
+            "run_probability": report_probability(self.run_probability, True),
             "checks_direct": self.checks_direct,
             "checks_amplified": self.checks_amplified,
             "checks_saved_factor": self.checks_direct / self.checks_amplified,

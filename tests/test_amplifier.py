@@ -11,11 +11,13 @@ import pytest
 
 from phaseamp import (
     ClassState,
+    Graph,
     amplifier,
     ImpossibleOutcomeError,
     InvalidParameterError,
     MeasurementSequence,
     ObjectiveKind,
+    ResourceLimitError,
     build_class_table,
     build_histogram,
     histogram_from_phases,
@@ -58,9 +60,17 @@ class TestMeasurementSequence:
         assert y.outcomes == (1,) * 5
         assert MeasurementSequence.successes(0).m == 0
 
+    def test_accepts_bits_of_any_number_type(self):
+        outcomes = (True, np.int64(0), 1.0, np.uint8(1))
+        y = MeasurementSequence(outcomes)
+        assert y.outcomes == (1, 0, 1, 1) and all(type(b) is int for b in y.outcomes)
+
     def test_rejects_non_bits(self):
         with pytest.raises(InvalidParameterError):
             MeasurementSequence((1, 2))
+        for outcome in (1.9, 0.2, -1, "1"):
+            with pytest.raises(InvalidParameterError, match="0/1 bits"):
+                MeasurementSequence((1, outcome))
         with pytest.raises(InvalidParameterError):
             MeasurementSequence.from_string("10x")
         with pytest.raises(InvalidParameterError):
@@ -363,7 +373,8 @@ class TestSampling:
         for route in each_route(monkeypatch):
             draws = sample_assignment(state, g, ObjectiveKind.MAXCUT, 20_000, 8)
             for level in range(h.n_levels):
-                members = table.members(level)
+                # Every assignment at the level but the all-zeros one, outside the support.
+                members = np.flatnonzero(table.levels[1:] == level) + 1
                 hits = draws[table.levels[draws] == level]
                 observed = [int((hits == x).sum()) for x in members]
                 assert sum(observed) == hits.size, route
@@ -418,6 +429,16 @@ class TestSampling:
         for _ in each_route(monkeypatch):
             with pytest.raises(InvalidParameterError, match="do not match"):
                 sample_assignment(initial_state(flagged), g, ObjectiveKind.MAXCUT, 1, 0)
+
+    def test_sampling_route_refuses_past_the_cap_of_its_route(self):
+        assert amplifier.sampling_route(make_line(62)) == frontier_order(make_line(62))
+        assert amplifier.sampling_route(make_line(6)) is None
+        with pytest.raises(ResourceLimitError, match="sampling capped at 62 vertices, got 63"):
+            amplifier.sampling_route(make_line(63))
+        # K_21 is too wide for the frontier DP, so it would need a class table.
+        complete = Graph(21, tuple(itertools.combinations(range(21), 2)))
+        with pytest.raises(ResourceLimitError, match="class tables capped at 20 vertices"):
+            amplifier.sampling_route(complete)
 
     def test_frontier_route_reaches_past_the_class_table_cap(self):
         # grid:7x8 has no class table: draw only its rare top levels of MaxCut,

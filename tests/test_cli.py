@@ -407,6 +407,14 @@ class TestAmplifyVerb:
             796230, 889947, 513357, 87765, 953187, 952721, 554077, 95078, 664669, 681589
         ]
 
+    def test_enumeration_route_draws_are_pinned(self, capsys):
+        # grid:3x3 is below the frontier DP's break-even, so its members come
+        # from a class table, by the same rank draw as on the DP route.
+        assert cli.amplifier.sampling_route(graphs.parse_graph_spec("grid:3x3")) is None
+        argv = ["amplify", "--graph", "grid:3x3", "--successes", "10", "--sample", "10"]
+        doc = run_json(capsys, *argv, "--seed", "3")
+        assert doc["samples"] == [238, 173, 426, 284, 235, 213, 342, 276, 171, 346]
+
     def test_writes_report(self, capsys, tmp_path):
         run_json(
             capsys,
@@ -921,6 +929,13 @@ class TestGridTableVerb:
             0.002532, rel=1e-3
         )
         assert (tmp_path / "grid_table.json").exists()
+
+    def test_underflowed_run_probability_prints_null(self, capsys, tmp_path):
+        argv = ["grid-table", "--grid", "starring:16", "--successes", "10000"]
+        doc = run_json(capsys, *argv, "--out", str(tmp_path))
+        assert doc["run_probability"] is None
+        assert doc["conditional_optimal_probability"] > 0.99
+        assert json.loads((tmp_path / "grid_table.json").read_text()) == doc
 
 
 # A valid invocation of each verb, without output or seed flags.

@@ -14,6 +14,7 @@ from phaseamp import (
     Graph,
     InvalidParameterError,
     InvalidSizeError,
+    ClassTable,
     ObjectiveKind,
     PhaseHistogram,
     ResourceLimitError,
@@ -209,6 +210,17 @@ class TestHistogramValidation:
         with pytest.raises(InvalidParameterError):
             PhaseHistogram(np.array([0.5, 1.0]), np.array([0, 0]))
 
+    @pytest.mark.parametrize(
+        "counts", [[1.5, 2.7], [1.0, 0.5], [1.0, math.nan], [1.0, math.inf], ["1", "2"]]
+    )
+    def test_rejects_counts_that_are_not_whole(self, counts):
+        with pytest.raises(InvalidParameterError, match="histogram counts must be"):
+            PhaseHistogram(np.array([0.5, 1.0]), np.array(counts))
+
+    def test_accepts_whole_float_counts(self):
+        h = PhaseHistogram(np.array([0.5, 1.0]), np.array([1.0, 2.0]))
+        assert h.counts.dtype == np.int64 and h.counts.tolist() == [1, 2]
+
     def test_rejects_nan_theta(self):
         with pytest.raises(InvalidParameterError):
             PhaseHistogram(np.array([math.nan]), np.array([1]))
@@ -329,12 +341,26 @@ class TestHistogramFromPhases:
 
 
 class TestClassTable:
+    """The level map of every assignment, the all-zeros one included."""
+
+    @staticmethod
+    def every_rank(table):
+        """Each level's ranks from 0 up, level by level, and their members."""
+        sizes = table.class_sizes()
+        levels = np.repeat(np.arange(table.n_levels), sizes)
+        ranks = np.concatenate([np.arange(c) for c in sizes])
+        return levels, table.members(levels, ranks)
+
     def test_consistent_with_histogram(self):
+        # The histogram drops the all-zeros assignment unless it includes zero.
         g = parse_graph_spec("grid:3x3")
-        h = build_histogram(g, ObjectiveKind.MAXCUT)
         table = build_class_table(g, ObjectiveKind.MAXCUT)
-        assert table.n_levels == h.n_levels
-        assert np.array_equal(table.class_sizes(), h.counts)
+        for include_zero in (False, True):
+            h = build_histogram(g, ObjectiveKind.MAXCUT, include_zero=include_zero)
+            sizes = table.class_sizes()
+            sizes[0] -= not include_zero
+            assert table.n_levels == h.n_levels
+            assert np.array_equal(sizes, h.counts)
 
     def test_class_of_matches_objective(self):
         g = parse_graph_spec("starring:8")
@@ -344,39 +370,39 @@ class TestClassTable:
             assert table.levels[x] == ref_objective("maxcut", 8, g.edges, int(x))
 
     def test_members_partition_the_support(self):
-        g = make_line(6)
-        table = build_class_table(g, ObjectiveKind.MAXCUT)
-        seen = sorted(
-            int(x) for level in range(table.n_levels) for x in table.members(level)
-        )
-        assert seen == list(range(1, 1 << 6))
+        _, members = self.every_rank(build_class_table(make_line(6), ObjectiveKind.MAXCUT))
+        assert sorted(members.tolist()) == list(range(1 << 6))
 
     def test_members_score_their_level(self):
         g = make_line(6)
-        table = build_class_table(g, ObjectiveKind.MAXCUT)
-        for level in range(table.n_levels):
-            for x in table.members(level):
-                assert ref_objective("maxcut", 6, g.edges, int(x)) == level
+        levels, members = self.every_rank(build_class_table(g, ObjectiveKind.MAXCUT))
+        for x, level in zip(members.tolist(), levels.tolist()):
+            assert ref_objective("maxcut", 6, g.edges, x) == level
 
     @pytest.mark.parametrize("kind", ["maxcut", "covered-edges"])
     @pytest.mark.parametrize("include_zero", [False, True])
     def test_members_and_sizes_match_the_oracle(self, kind, include_zero):
+        # The sampler skips rank 0 of level 0, the all-zeros assignment, when
+        # the histogram leaves it out; the other ranks list the rest in order.
         g = parse_graph_spec("grid:2x3")
-        table = build_class_table(g, ObjectiveKind.coerce(kind), include_zero=include_zero)
+        table = build_class_table(g, ObjectiveKind.coerce(kind))
+        h = build_histogram(g, ObjectiveKind.coerce(kind), include_zero=include_zero)
         first = 0 if include_zero else 1
         for level in range(table.n_levels):
             expected = [
                 x for x in range(first, 1 << 6)
                 if ref_objective(kind, 6, g.edges, x) == level
             ]
-            assert table.members(level).tolist() == expected
-            assert table.class_sizes()[level] == len(expected)
+            skip = int(level == 0 and not include_zero)
+            ranks = np.arange(h.counts[level]) + skip
+            assert table.members(np.full(ranks.size, level), ranks).tolist() == expected
+            assert table.class_sizes()[level] == len(expected) + skip
 
     def test_levels_span_enumeration_chunks(self, monkeypatch):
         # Small chunks make the shared enumerator hand the table several pieces.
         monkeypatch.setattr(graphs, "_CHUNK", 16)
         g = parse_graph_spec("grid:2x4")
-        table = build_class_table(g, ObjectiveKind.COVERED_EDGES, include_zero=True)
+        table = build_class_table(g, ObjectiveKind.COVERED_EDGES)
         assert table.levels.tolist() == [
             ref_objective("covered-edges", 8, g.edges, x) for x in range(1 << 8)
         ]
@@ -386,26 +412,22 @@ class TestClassTable:
         assert table.levels.dtype == np.int32
         assert table.levels.nbytes == 4 * (1 << 8)
         assert not table.levels.flags.writeable
-        assert set(vars(table)) == {"levels", "n_levels", "includes_zero"}
+        assert set(vars(table)) == {"levels", "n_levels"}
 
     def test_all_zeros_outside_support(self):
-        table = build_class_table(make_line(5), ObjectiveKind.MAXCUT)
-        # Level 0 holds the two uncut assignments; only all-ones is supported.
-        assert table.members(0).tolist() == [0b11111]
-        assert int(table.class_sizes().sum()) == (1 << 5) - 1
-
-    def test_include_zero_restores_it(self):
-        table = build_class_table(
-            make_line(5), ObjectiveKind.MAXCUT, include_zero=True
-        )
-        assert table.members(0).tolist() == [0, 0b11111]
+        # Level 0 holds the two uncut assignments, all-zeros first; the
+        # histogram keeps only all-ones, which the sampler reaches at rank 1.
+        g = make_line(5)
+        table = build_class_table(g, ObjectiveKind.MAXCUT)
+        assert table.members(np.array([0, 0]), np.array([0, 1])).tolist() == [0, 0b11111]
         assert int(table.class_sizes().sum()) == 1 << 5
+        assert build_histogram(g, ObjectiveKind.MAXCUT).counts[0] == 1
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError, match="class tables capped at 20 vertices"):
             build_class_table(make_line(21), ObjectiveKind.MAXCUT)
 
     def test_level_out_of_range(self):
-        table = build_class_table(make_line(5), ObjectiveKind.MAXCUT)
-        with pytest.raises(InvalidParameterError):
-            table.members(table.n_levels)
+        for levels in ([0, 2], [-1, 1]):
+            with pytest.raises(InvalidParameterError, match="out of range"):
+                ClassTable(np.array(levels), 2)

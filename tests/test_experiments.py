@@ -227,6 +227,15 @@ class TestGridTable:
             table.checks_direct / table.checks_amplified
         )
 
+    def test_underflowed_run_probability_prints_null(self):
+        # The run is possible, but its probability is below the float range.
+        table = reports_of("grid-table", "starring:16", successes=10000)
+        assert table.run_probability == 0.0
+        assert table.to_json_dict()["run_probability"] is None
+        rows = dict(line.split(",", 1) for line in table.to_csv().splitlines()[1:])
+        assert rows["run_probability"] == ""
+        assert float(rows["checks_saved_factor"]) > 1.0
+
     def test_csv_layout(self):
         text = reports_of("grid-table", "grid:4x4", successes=10).to_csv()
         rows = dict(
@@ -375,6 +384,20 @@ class TestRunExperiment:
             "custom_line_5.json",
             "custom.svg",
         }
+
+    def test_underflowed_sequence_probability_prints_null(self, tmp_path):
+        # The all-ones record of starring:12 underflows to 0.0 at m = 3906.
+        config = ExperimentConfig(
+            "custom", graph_specs=("starring:12",), m_max=3906, out_dir=str(tmp_path)
+        )
+        run_experiment(config)
+        doc = json.loads((tmp_path / "custom_starring_12.json").read_text())
+        p_sequence = [r["P_sequence"] for r in doc["records"]]
+        assert p_sequence[3905] > 0.0 and p_sequence[3906] is None
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "custom_starring_12.csv").read_text())))
+        assert float(rows[3905]["P_sequence"]) > 0.0 and rows[3906]["P_sequence"] == ""
+        # The chart still plots the underflowed value, as 0.
+        ET.parse(tmp_path / "custom.svg")
 
     def test_format_filter(self, tmp_path):
         config = ExperimentConfig(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -250,7 +251,7 @@ class TestGraphHistograms:
     @settings(deadline=None, max_examples=60)
     def test_histograms_and_class_tables_agree(self, g):
         for objective in ObjectiveKind:
-            h = build_histogram(g, objective)
+            h = build_histogram(g, objective, include_zero=True)
             table = build_class_table(g, objective)
             assert np.array_equal(table.class_sizes(), h.counts)
 
@@ -278,25 +279,50 @@ class TestGraphHistograms:
         assert table.levels[x] == ref_objective(objective.value, g.n_vertices, g.edges, x)
 
 
-class TestFrontierSampling:
-    """Sampling through the frontier DP's tables, against the plain-Python scorer."""
+def _frontier_reader(g, objective):
+    steps = frontier_order(g)
+    is_cut = objective is ObjectiveKind.MAXCUT
+    tables = list(encoding.frontier_tables(steps, is_cut))
+    reader = partial(encoding.frontier_members, steps, tables, is_cut=is_cut)
+    return encoding.level_totals(tables[-1]), reader
 
+
+def _table_reader(g, objective):
+    table = build_class_table(g, objective)
+    return table.class_sizes(), table.members
+
+
+# Each sampling route's level counts, the all-zeros assignment included, and
+# its member reader: ``reader(levels, ranks)``.
+MEMBER_READERS = {"frontier": _frontier_reader, "table": _table_reader}
+
+# The sampler's two routes, forced whatever the cost rule would pick.
+SAMPLING_ROUTES = {
+    "frontier": lambda g, keep_tables: frontier_order(g),
+    "enumeration": lambda g, keep_tables: None,
+}
+
+
+class TestFrontierSampling:
+    """Sampling by rank on both routes, against the plain-Python scorer."""
+
+    @pytest.mark.parametrize("reader", MEMBER_READERS)
     @given(g=random_graphs(max_vertices=12, max_edges=30))
     @settings(deadline=None, max_examples=40)
-    def test_ranks_name_every_member_of_their_level_once(self, g):
-        steps = frontier_order(g)
+    def test_ranks_name_every_member_of_their_level_once(self, reader, g):
         for objective in ObjectiveKind:
-            is_cut = objective is ObjectiveKind.MAXCUT
-            tables = list(encoding.frontier_tables(steps, is_cut))
-            counts = encoding.level_totals(tables[-1])
+            counts, members_of = MEMBER_READERS[reader](g, objective)
             levels = np.repeat(np.arange(counts.size), counts)
             ranks = np.concatenate([np.arange(c) for c in counts])
-            members = encoding.frontier_members(steps, tables, levels, ranks, is_cut)
+            members = members_of(levels, ranks)
             # Every assignment once, each at its own level; rank 0 of level 0 is 0.
             assert sorted(members.tolist()) == list(range(2**g.n_vertices))
             for x, level in zip(members.tolist(), levels.tolist()):
                 assert ref_objective(objective.value, g.n_vertices, g.edges, x) == level
             assert members[0] == 0
+            if reader == "table":
+                # The table lists each level's members in increasing order.
+                assert np.all(np.diff(members)[np.diff(levels) == 0] > 0)
 
     @given(g=random_graphs(max_vertices=12, max_edges=30), data=st.data())
     @settings(deadline=None, max_examples=40)
@@ -307,12 +333,13 @@ class TestFrontierSampling:
         level = data.draw(st.sampled_from(np.flatnonzero(h.counts).tolist()))
         weights = (np.arange(h.n_levels) == level).astype(float)
         seed = data.draw(st.integers(0, 9))
-        with patch.object(amplifier, "frontier_route", lambda g, keep_tables: frontier_order(g)):
-            draws = sample_assignment(ClassState(h, weights, 0.0), g, objective, 60, seed)
         first = 0 if include_zero else 1
-        for x in draws.tolist():
-            assert first <= x < 2**g.n_vertices
-            assert ref_objective(objective.value, g.n_vertices, g.edges, x) == level
+        for route in SAMPLING_ROUTES.values():
+            with patch.object(amplifier, "frontier_route", route):
+                draws = sample_assignment(ClassState(h, weights, 0.0), g, objective, 60, seed)
+            for x in draws.tolist():
+                assert first <= x < 2**g.n_vertices
+                assert ref_objective(objective.value, g.n_vertices, g.edges, x) == level
 
 
 class TestDenseOracle:
