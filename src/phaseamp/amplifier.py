@@ -49,6 +49,7 @@ class MeasurementSequence:
     outcomes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        check_limit("record", len(self.outcomes), "a measurement record")
         if any(b not in (0, 1) for b in self.outcomes):
             raise InvalidParameterError("outcomes must be 0/1 bits")
         object.__setattr__(self, "outcomes", tuple(int(b) for b in self.outcomes))
@@ -64,6 +65,7 @@ class MeasurementSequence:
     def successes(cls, m: int) -> "MeasurementSequence":
         if m < 0:
             raise InvalidParameterError("sequence length must be nonnegative")
+        check_limit("record", m, "a measurement record")
         return cls((1,) * m)
 
     @property

@@ -117,7 +117,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     report = text
     if args.optima:
         objective = ObjectiveKind.coerce(args.objective)
-        best, maximizers = brute_force_optima(g, objective)
+        best, n_maximizers, maximizers = brute_force_optima(g, objective)
         report = json_text(
             {
                 "schema": SCHEMA_VERSION,
@@ -126,8 +126,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
                 "n_vertices": g.n_vertices,
                 "n_edges": g.edge_count,
                 "best": best,
-                "n_maximizers": len(maximizers),
-                "maximizers": maximizers[:64],
+                "n_maximizers": n_maximizers,
+                "maximizers": maximizers,
             }
         )
     _emit(report, args.out, slug(args.spec), {"graph": lambda: text})

@@ -52,10 +52,23 @@ class PhaseHistogram:
     def __post_init__(self) -> None:
         thetas = np.asarray(self.thetas, dtype=np.float64).copy()
         counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "biu" and not (
-            counts.dtype.kind == "f" and np.all(np.isfinite(counts) & (counts == np.trunc(counts)))
-        ):
+        if counts.dtype.kind == "O":  # Python ints too wide for a numpy integer type
+            whole = all(isinstance(c, (int, np.integer)) for c in counts.flat)
+        else:
+            whole = counts.dtype.kind in "biu" or (
+                counts.dtype.kind == "f"
+                and np.all(np.isfinite(counts) & (counts == np.trunc(counts)))
+            )
+        if not whole:
             raise InvalidParameterError("histogram counts must be whole numbers")
+        if np.any(counts < 0):
+            raise InvalidParameterError("histogram counts must be nonnegative")
+        total = sum(map(int, counts.flat))
+        if total >= 1 << 63:
+            raise InvalidParameterError(
+                f"histogram counts past int64 are not supported: they total {total}, "
+                "past 2^63 - 1"
+            )
         counts = counts.astype(np.int64)
         if thetas.ndim != 1 or counts.shape != thetas.shape or thetas.size == 0:
             raise InvalidParameterError("histogram needs matching 1-d thetas and counts")
@@ -63,9 +76,7 @@ class PhaseHistogram:
             raise InvalidParameterError("histogram angles must be finite")
         if np.any(np.diff(thetas) <= 0):
             raise InvalidParameterError("histogram angles must be strictly increasing")
-        if np.any(counts < 0):
-            raise InvalidParameterError("histogram counts must be nonnegative")
-        if int(counts.sum()) < 1:
+        if total < 1:
             raise InvalidParameterError("histogram support is empty")
         if self.numerators is not None:
             if self.denominator is None or len(self.numerators) != thetas.size:
@@ -85,10 +96,6 @@ class PhaseHistogram:
     def support(self) -> int:
         """Total number of assignments counted."""
         return int(self.counts.sum())
-
-    def weights(self) -> np.ndarray:
-        """Counts normalized to a probability vector."""
-        return self.counts / self.support
 
     @cached_property
     def branch_factors(self) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,8 @@ class ResourceLimitError(PhaseAmpError):
 # of 8-byte counts (sampling keeps all of them, within the same cap),
 # enumeration costs 2^n time, a class table 4 bytes per assignment, a drawn
 # sample up to about 200 bytes of arrays, JSON and Python ints, the dense
-# oracle 2N amplitudes per record. Exact two-peak results stop at Python's default
+# oracle 2N amplitudes per record. A measurement record or trajectory keeps
+# one entry per outcome. Exact two-peak results stop at Python's default
 # limit on the digits of an int printed as a string.
 LIMITS = {
     "histogram": (62, "vertices"),
@@ -50,6 +51,7 @@ LIMITS = {
     "enumeration": (28, "vertices"),
     "class_table": (20, "vertices"),
     "samples": (1_000_000, "draws"),
+    "record": (1_000_000, "outcomes"),
     "dense_support": (1024, "assignments"),
     "dense_sequence": (8, "outcomes"),
     "exact_digits": (4300, "digits"),

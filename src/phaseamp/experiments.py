@@ -22,7 +22,7 @@ import numpy as np
 
 from .amplifier import initial_state, step
 from .encoding import PhaseHistogram, build_histogram
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_limit
 from .graphs import ObjectiveKind, parse_graph_spec
 from .meta import SCHEMA_VERSION, __version__
 
@@ -618,6 +618,8 @@ class ExperimentConfig:
             )
         if self.m_max < 0 or self.successes < 0:
             raise InvalidParameterError("iteration range must be nonnegative")
+        for m in (self.m_max, self.successes):
+            check_limit("record", m, "a measurement record")
         formats = tuple(dict.fromkeys(self.formats))
         if not formats or not set(formats) <= set(FORMATS):
             raise InvalidParameterError(

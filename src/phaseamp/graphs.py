@@ -191,18 +191,23 @@ def frontier_order(g: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]
     return order
 
 
-def brute_force_optima(g: Graph, objective: ObjectiveKind | str) -> tuple[int, list[int]]:
-    """Exhaustively scan all assignments; returns (best value, maximizers)."""
-    best = -1
-    maximizers: list[int] = []
+def brute_force_optima(g: Graph, objective: ObjectiveKind | str) -> tuple[int, int, list[int]]:
+    """Exhaustively scan all assignments; returns (best value, maximizer count, 64 smallest).
+
+    Only the listed maximizers are kept, so memory stays within one chunk.
+    """
+    listed = 64
+    best, count, smallest = -1, 0, []
     for xs, vals in scored_assignments(g, objective, "exhaustive search"):
         chunk_best = int(vals.max())
         if chunk_best > best:
-            best = chunk_best
-            maximizers = []
+            best, count, smallest = chunk_best, 0, []
         if chunk_best == best:
-            maximizers.extend(int(x) for x in xs[vals == best])
-    return best, maximizers
+            hits = vals == best
+            count += int(np.count_nonzero(hits))
+            if len(smallest) < listed:
+                smallest += xs[hits][: listed - len(smallest)].tolist()
+    return best, count, smallest
 
 
 def format_graph_file(g: Graph) -> str:

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from phaseamp import ObjectiveKind, build_histogram, parse_graph_spec
+from phaseamp.encoding import build_histogram
+from phaseamp.graphs import ObjectiveKind, parse_graph_spec
 
 BENCHMARK_SPECS = ("line:10", "grid:3x3", "grid:4x4", "starring:16")
 

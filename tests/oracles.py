@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from phaseamp import ClassState, ImpossibleOutcomeError
+from phaseamp.amplifier import ClassState
+from phaseamp.errors import ImpossibleOutcomeError
 
 
 def bits_of(x: int, n: int) -> str:

@@ -14,30 +14,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from phaseamp import (
-    ExperimentConfig,
+from phaseamp.amplifier import (
     MeasurementSequence,
-    ObjectiveKind,
-    TwoPeakModel,
-    band_bound,
-    bound_from_success_run,
-    build_histogram,
-    build_reports,
-    compare_with_class_weights,
-    histogram_from_phases,
     initial_state,
-    parse_graph_spec,
-    sampling_comparison,
     sequence_probability,
     step,
     success_run,
-    success_trajectory,
+)
+from phaseamp.analytics import (
+    TwoPeakModel,
+    band_bound,
+    bound_from_success_run,
+    sampling_comparison,
     two_peak_required_measurements,
     two_peak_stats,
-    uniform_histogram,
     uniform_run_probability,
     uniform_run_probability_exact,
 )
+from phaseamp.encoding import build_histogram, histogram_from_phases, uniform_histogram
+from phaseamp.experiments import ExperimentConfig, build_reports, success_trajectory
+from phaseamp.fullsim import compare_with_class_weights
+from phaseamp.graphs import ObjectiveKind, parse_graph_spec
 
 BENCHMARKS = ("line:10", "grid:3x3", "grid:4x4", "starring:16")
 

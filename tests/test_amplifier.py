@@ -9,23 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from phaseamp import (
+from phaseamp import amplifier
+from phaseamp.amplifier import (
     ClassState,
-    Graph,
-    amplifier,
-    ImpossibleOutcomeError,
-    InvalidParameterError,
     MeasurementSequence,
-    ObjectiveKind,
-    ResourceLimitError,
-    build_class_table,
-    build_histogram,
-    histogram_from_phases,
     initial_state,
-    make_grid,
-    make_line,
-    objective_values,
-    parse_graph_spec,
     run_sequence,
     sample_assignment,
     sequence_probability,
@@ -33,9 +21,28 @@ from phaseamp import (
     success_run,
     tail_probability,
     unconditional_tail_probability,
+)
+from phaseamp.encoding import (
+    build_class_table,
+    build_histogram,
+    histogram_from_phases,
     uniform_histogram,
 )
-from phaseamp.graphs import frontier_order
+from phaseamp.errors import (
+    LIMITS,
+    ImpossibleOutcomeError,
+    InvalidParameterError,
+    ResourceLimitError,
+)
+from phaseamp.graphs import (
+    Graph,
+    ObjectiveKind,
+    frontier_order,
+    make_grid,
+    make_line,
+    objective_values,
+    parse_graph_spec,
+)
 
 from .oracles import (
     chi_square_p_value,
@@ -76,11 +83,19 @@ class TestMeasurementSequence:
         with pytest.raises(InvalidParameterError):
             MeasurementSequence.successes(-1)
 
+    def test_record_length_cap(self):
+        cap = LIMITS["record"][0]
+        assert MeasurementSequence.successes(cap).m == cap
+        with pytest.raises(ResourceLimitError, match=f"record capped at {cap} outcomes"):
+            MeasurementSequence.successes(cap + 1)
+        with pytest.raises(ResourceLimitError, match=f"record capped at {cap} outcomes"):
+            MeasurementSequence((0,) * (cap + 1))
+
 
 class TestClassState:
     def test_initial_state(self, grid44_histogram):
         state = initial_state(grid44_histogram)
-        assert np.allclose(state.weights, grid44_histogram.weights())
+        assert np.allclose(state.weights, grid44_histogram.counts / grid44_histogram.support)
         assert state.log_sequence_probability == 0.0
         assert state.probability == 1.0
 
@@ -89,7 +104,7 @@ class TestClassState:
         assert names == ["histogram", "weights", "log_sequence_probability"]
 
     def test_weights_must_normalize(self, grid44_histogram):
-        w = grid44_histogram.weights() * 0.5
+        w = initial_state(grid44_histogram).weights * 0.5
         with pytest.raises(InvalidParameterError):
             ClassState(grid44_histogram, w, 0.0)
 
@@ -101,16 +116,16 @@ class TestClassState:
 
     def test_log_probability_must_be_nonpositive(self, grid44_histogram):
         with pytest.raises(InvalidParameterError):
-            ClassState(grid44_histogram, grid44_histogram.weights(), 0.5)
+            ClassState(grid44_histogram, initial_state(grid44_histogram).weights, 0.5)
 
     def test_weights_must_be_nonnegative(self, grid44_histogram):
-        w = grid44_histogram.weights()
+        w = initial_state(grid44_histogram).weights.copy()
         w[[2, 3]] += [0.25, -0.25]
         with pytest.raises(InvalidParameterError, match="nonnegative"):
             ClassState(grid44_histogram, w, 0.0)
 
     def test_one_weight_per_level(self, grid44_histogram):
-        w = grid44_histogram.weights()
+        w = initial_state(grid44_histogram).weights
         for wrong in (w[:-1], np.append(w, 0.0), w.reshape(1, -1)):
             with pytest.raises(InvalidParameterError, match="one weight per"):
                 ClassState(grid44_histogram, wrong, 0.0)
@@ -120,23 +135,23 @@ class TestClassState:
         h = grid44_histogram
         with pytest.raises(InvalidParameterError, match="weights must be finite"):
             ClassState(h, np.full(h.n_levels, bad), bad)
-        w = h.weights()
+        w = initial_state(h).weights.copy()
         w[5] = bad
         with pytest.raises(InvalidParameterError, match="weights must be finite"):
             ClassState(h, w, 0.0)
         with pytest.raises(InvalidParameterError, match="log probability must be finite"):
-            ClassState(h, h.weights(), bad)
+            ClassState(h, initial_state(h).weights, bad)
 
     def test_the_checks_kept_on_every_step_fail_on_nan(self, grid44_histogram):
         h = grid44_histogram
         with pytest.raises(InvalidParameterError, match="sum to 1"):
             ClassState._after_step(h, np.full(h.n_levels, math.nan), 0.0)
         with pytest.raises(InvalidParameterError, match="sum to 1"):
-            ClassState._after_step(h, h.weights() * 0.5, 0.0)
+            ClassState._after_step(h, initial_state(h).weights * 0.5, 0.0)
         with pytest.raises(InvalidParameterError, match="nonpositive"):
-            ClassState._after_step(h, h.weights(), math.nan)
+            ClassState._after_step(h, initial_state(h).weights, math.nan)
         with pytest.raises(InvalidParameterError, match="nonpositive"):
-            ClassState._after_step(h, h.weights(), 0.5)
+            ClassState._after_step(h, initial_state(h).weights, 0.5)
         # A state past the boundary that still holds NaN weights cannot step.
         state = initial_state(h)
         object.__setattr__(state, "weights", np.full(h.n_levels, math.nan))
@@ -198,7 +213,7 @@ class TestRunSequence:
     def test_empty_sequence(self, grid44_histogram):
         state, p = run_sequence(grid44_histogram, MeasurementSequence())
         assert p == 1.0
-        assert np.allclose(state.weights, grid44_histogram.weights())
+        assert np.allclose(state.weights, initial_state(grid44_histogram).weights)
 
     def test_success_run_is_all_ones(self, grid44_histogram):
         state_a, p_a = success_run(grid44_histogram, 6)

@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from phaseamp import analytics
-from phaseamp import (
-    InvalidParameterError,
-    NoAmplificationError,
-    ResourceLimitError,
+from phaseamp.amplifier import MeasurementSequence, sequence_probability, success_run
+from phaseamp.analytics import (
     TwoPeakModel,
     band_bound,
     bound_from_success_run,
@@ -20,20 +18,24 @@ from phaseamp import (
     central_binomial_norm_exact,
     estimate_mass_from_sequence,
     gaussian_tail_estimate,
-    histogram_from_phases,
     peak_window,
     sampling_comparison,
-    sequence_probability,
-    MeasurementSequence,
-    success_run,
-    two_peak_histogram,
     two_peak_required_measurements,
     two_peak_stats,
-    uniform_histogram,
     uniform_run_probability,
     uniform_run_probability_exact,
     uniform_step_success,
     uniform_step_success_exact,
+)
+from phaseamp.encoding import (
+    histogram_from_phases,
+    two_peak_histogram,
+    uniform_histogram,
+)
+from phaseamp.errors import (
+    InvalidParameterError,
+    NoAmplificationError,
+    ResourceLimitError,
 )
 
 from .oracles import ref_erf, ref_uniform_run_exact
@@ -360,7 +362,7 @@ class TestSamplingComparison:
                     assert cmp.p_amplified <= cmp.p_sampled + 1e-15
 
     def test_amplified_equals_unconditional_tail(self, grid44_histogram):
-        from phaseamp import unconditional_tail_probability
+        from phaseamp.amplifier import unconditional_tail_probability
 
         h = grid44_histogram
         for m in (1, 3, 5):

@@ -9,12 +9,15 @@ import math
 import re
 import runpy
 import sys
+import time
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from phaseamp import cli, experiments, graphs
+import phaseamp
+from phaseamp import cli, experiments, graphs, meta
 from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
 from phaseamp.errors import LIMITS, InvalidParameterError
 from phaseamp.graphs import format_graph_file, make_line
@@ -1001,6 +1004,26 @@ class TestRejectedInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["amplify", "--graph", "line:4", "--successes", "1000000000000"],
+            ["figures", "--experiment", "custom", "--graphs", "line:4",
+             "--m-max", "1000000000000"],
+            ["grid-table", "--successes", "1000000000000"],
+        ],
+        ids=["amplify", "figures", "grid-table"],
+    )
+    def test_record_past_the_cap_is_exit_3_before_any_work(self, capsys, tmp_path, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: a measurement record capped at {LIMITS['record'][0]} outcomes, "
+            "got 1000000000000\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_paths_are_exit_2(self, capsys, tmp_path):
         # A directory as a graph file, and an existing file as the out dir.
@@ -1049,6 +1072,15 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert "phase-amp" in capsys.readouterr().out
+
+    def test_package_root_holds_only_the_version_and_submodules(self):
+        # Every name has one import path: the module that defines it.
+        public = {n: v for n, v in vars(phaseamp).items() if not n.startswith("_")}
+        assert public
+        for name, value in public.items():
+            assert isinstance(value, types.ModuleType), name
+            assert value.__name__ == f"phaseamp.{name}"
+        assert phaseamp.__version__ == meta.__version__
 
     def test_verb_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1134,6 +1166,8 @@ class TestTopLevel:
             r"every frontier DP table when they hold at most (\d+) counts together, "
             r"and otherwise enumerates a class table, for graphs of at most (\d+) "
             r"vertices on that route only; `--sample` draws at most (\d+) assignments; "
+            r"a measurement record \(`amplify --successes`, `figures --m-max` and "
+            r"`--successes`, `grid-table --successes`\) holds at most (\d+) outcomes; "
             r"the dense oracle is capped at N=(\d+) / (\d+) measurements; exact "
             r"`twopeak` results at (\d+) digits",
             text,
@@ -1141,7 +1175,8 @@ class TestTopLevel:
         assert caps is not None
         budgets = (
             "histogram", "frontier", "enumeration", "enumeration", "frontier",
-            "class_table", "samples", "dense_support", "dense_sequence", "exact_digits",
+            "class_table", "samples", "record", "dense_support", "dense_sequence",
+            "exact_digits",
         )
         assert tuple(int(v) for v in caps.groups()) == tuple(
             LIMITS[b][0] for b in budgets

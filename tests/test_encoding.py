@@ -5,32 +5,38 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from phaseamp import encoding, graphs
-from phaseamp import (
-    Graph,
-    InvalidParameterError,
-    InvalidSizeError,
+from phaseamp.amplifier import initial_state
+from phaseamp.analytics import TwoPeakModel
+from phaseamp.encoding import (
     ClassTable,
-    ObjectiveKind,
     PhaseHistogram,
-    ResourceLimitError,
-    SCHEMA_VERSION,
-    TwoPeakModel,
     build_class_table,
     build_histogram,
     histogram_from_phases,
+    two_peak_histogram,
+    uniform_histogram,
+)
+from phaseamp.errors import (
+    LIMITS,
+    InvalidParameterError,
+    InvalidSizeError,
+    ResourceLimitError,
+)
+from phaseamp.graphs import (
+    Graph,
+    ObjectiveKind,
     make_grid,
     make_line,
     objective_values,
     parse_graph_spec,
-    two_peak_histogram,
-    uniform_histogram,
 )
-from phaseamp.errors import LIMITS
+from phaseamp.meta import SCHEMA_VERSION
 
 from .oracles import ref_level_counts, ref_objective, ref_tail_mass
 
@@ -94,7 +100,7 @@ class TestBuildHistogram:
 
     def test_weights_sum_to_one(self, benchmark_histograms):
         for h in benchmark_histograms.values():
-            assert math.fsum(h.weights().tolist()) == pytest.approx(1.0, abs=1e-15)
+            assert math.fsum(initial_state(h).weights.tolist()) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestFrontierRoute:
@@ -216,6 +222,17 @@ class TestHistogramValidation:
     def test_rejects_counts_that_are_not_whole(self, counts):
         with pytest.raises(InvalidParameterError, match="histogram counts must be"):
             PhaseHistogram(np.array([0.5, 1.0]), np.array(counts))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[1e20], [2**63], [2**70], [2**62, 2**62]],
+        ids=["float", "uint64", "object", "total"],
+    )
+    def test_counts_past_int64_are_refused_by_name(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="past int64"):
+                PhaseHistogram(np.linspace(0.5, 1.0, len(counts)), np.array(counts))
 
     def test_accepts_whole_float_counts(self):
         h = PhaseHistogram(np.array([0.5, 1.0]), np.array([1.0, 2.0]))

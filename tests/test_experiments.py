@@ -11,25 +11,22 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from phaseamp import (
+from phaseamp.amplifier import MeasurementSequence, run_sequence, success_run
+from phaseamp.encoding import build_histogram
+from phaseamp.errors import InvalidParameterError, ResourceLimitError
+from phaseamp.experiments import (
     ExperimentConfig,
-    InvalidParameterError,
-    ObjectiveKind,
-    ResourceLimitError,
-    SCHEMA_VERSION,
     Series,
-    build_histogram,
     build_reports,
     emit_svg,
-    make_line,
-    parse_graph_spec,
+    json_text,
     run_experiment,
-    run_sequence,
-    success_run,
+    slug,
     success_trajectory,
-    MeasurementSequence,
+    write_files,
 )
-from phaseamp.experiments import json_text, slug, write_files
+from phaseamp.graphs import ObjectiveKind, make_line, parse_graph_spec
+from phaseamp.meta import SCHEMA_VERSION
 
 
 def reports_of(experiment: str, *graph_specs: str, **settings):

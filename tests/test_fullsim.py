@@ -8,20 +8,21 @@ import math
 import numpy as np
 import pytest
 
-from phaseamp import (
+from phaseamp.amplifier import MeasurementSequence, run_sequence
+from phaseamp.encoding import histogram_from_phases
+from phaseamp.errors import (
+    LIMITS,
     ImpossibleOutcomeError,
     InvalidParameterError,
-    MeasurementSequence,
     ResourceLimitError,
+)
+from phaseamp.fullsim import (
     apply_interference_round,
     compare_with_class_weights,
-    histogram_from_phases,
     measure_reference,
     prepare,
-    run_sequence,
     run_sequence_fullsim,
 )
-from phaseamp.errors import LIMITS
 
 
 class TestPrepare:

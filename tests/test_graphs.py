@@ -2,26 +2,32 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from phaseamp import (
-    Graph,
+from phaseamp import graphs
+from phaseamp.errors import (
     InvalidGraphError,
     InvalidParameterError,
     InvalidSizeError,
-    ObjectiveKind,
     ResourceLimitError,
+)
+from phaseamp.graphs import (
+    Graph,
+    ObjectiveKind,
     brute_force_optima,
     format_graph_file,
+    frontier_order,
     make_grid,
     make_line,
     make_star_ring,
     objective_values,
     parse_graph_spec,
     read_graph_file,
+    scored_assignments,
 )
-from phaseamp.graphs import frontier_order, scored_assignments
 
 from .oracles import ref_objective, ref_optima
 
@@ -139,37 +145,53 @@ class TestObjectives:
 
 class TestBruteForce:
     def test_line4_maxcut(self):
-        best, maximizers = brute_force_optima(make_line(4), ObjectiveKind.MAXCUT)
-        assert best == 3
-        assert sorted(maximizers) == [0b0101, 0b1010]
+        best, count, maximizers = brute_force_optima(make_line(4), ObjectiveKind.MAXCUT)
+        assert best == 3 and count == 2
+        assert maximizers == [0b0101, 0b1010]
 
     @pytest.mark.parametrize("kind", ["maxcut", "covered-edges"])
     @pytest.mark.parametrize("spec", ["line:6", "grid:2x3", "starring:5"])
-    def test_matches_reference_scan(self, kind, spec):
+    def test_matches_reference_scan(self, kind, spec, monkeypatch):
         g = parse_graph_spec(spec)
-        best, maximizers = brute_force_optima(g, ObjectiveKind.coerce(kind))
         ref_best, ref_argmax = ref_optima(kind, g.n_vertices, g.edges)
-        assert best == ref_best
-        assert sorted(maximizers) == ref_argmax
+        expected = (ref_best, len(ref_argmax), ref_argmax[:64])
+        assert brute_force_optima(g, ObjectiveKind.coerce(kind)) == expected
+        monkeypatch.setattr(graphs, "_CHUNK", 4)  # many chunks: a later one can raise the best
+        assert brute_force_optima(g, ObjectiveKind.coerce(kind)) == expected
 
     def test_grid44_two_complementary_maximizers(self):
         g = make_grid(4, 4)
-        best, maximizers = brute_force_optima(g, ObjectiveKind.MAXCUT)
+        best, count, maximizers = brute_force_optima(g, ObjectiveKind.MAXCUT)
         assert best == 24
-        assert len(maximizers) == 2
-        a, b = sorted(maximizers)
+        assert count == 2
+        a, b = maximizers
         assert a ^ b == (1 << 16) - 1
 
     def test_star_ring16_optimum(self):
-        best, maximizers = brute_force_optima(make_star_ring(16), ObjectiveKind.MAXCUT)
+        best, count, maximizers = brute_force_optima(make_star_ring(16), ObjectiveKind.MAXCUT)
         assert best == 22
-        assert len(maximizers) == 30
+        assert count == len(maximizers) == 30
 
     def test_covered_edges_full_set_wins(self):
         g = make_grid(3, 3)
-        best, maximizers = brute_force_optima(g, ObjectiveKind.COVERED_EDGES)
+        best, _, maximizers = brute_force_optima(g, ObjectiveKind.COVERED_EDGES)
         assert best == g.edge_count
         assert (1 << 9) - 1 in maximizers
+
+    @pytest.mark.parametrize("kind", ["maxcut", "covered-edges"])
+    def test_memory_stays_within_a_chunk_however_many_maximizers(self, kind, monkeypatch):
+        # One edge on 20 vertices: half (maxcut) or three quarters of 2^20 maximize.
+        monkeypatch.setattr(graphs, "_CHUNK", 1 << 12)
+        g = Graph(20, ((0, 1),))
+        tracemalloc.start()
+        try:
+            best, count, maximizers = brute_force_optima(g, ObjectiveKind.coerce(kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        ref_best, ref_argmax = ref_optima(kind, g.n_vertices, g.edges)
+        assert (best, count, maximizers) == (ref_best, len(ref_argmax), ref_argmax[:64])
 
     def test_enumeration_limit(self):
         g = Graph(29, tuple((i, i + 1) for i in range(28)))

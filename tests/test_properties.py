@@ -14,32 +14,33 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phaseamp import amplifier, encoding
-from phaseamp import (
+from phaseamp.amplifier import (
     ClassState,
-    Graph,
-    ImpossibleOutcomeError,
     MeasurementSequence,
-    ObjectiveKind,
-    PhaseHistogram,
-    TwoPeakModel,
-    band_bound,
-    bound_from_success_run,
-    build_class_table,
-    build_histogram,
-    histogram_from_phases,
     initial_state,
     run_sequence,
-    run_sequence_fullsim,
     sample_assignment,
-    sampling_comparison,
     sequence_probability,
     step,
     success_run,
-    two_peak_histogram,
+)
+from phaseamp.analytics import (
+    TwoPeakModel,
+    band_bound,
+    bound_from_success_run,
+    sampling_comparison,
     two_peak_stats,
 )
-
-from phaseamp.graphs import frontier_order
+from phaseamp.encoding import (
+    PhaseHistogram,
+    build_class_table,
+    build_histogram,
+    histogram_from_phases,
+    two_peak_histogram,
+)
+from phaseamp.errors import ImpossibleOutcomeError
+from phaseamp.fullsim import run_sequence_fullsim
+from phaseamp.graphs import Graph, ObjectiveKind, frontier_order
 
 from .oracles import ref_level_counts, ref_objective
 
