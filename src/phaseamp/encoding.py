@@ -18,14 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    LIMITS,
-    InvalidGraphError,
-    InvalidParameterError,
-    InvalidSizeError,
-    ResourceLimitError,
-    check_limit,
-)
+from .errors import LIMITS, InvalidParameterError, ResourceLimitError, check_limit
 from .graphs import Graph, ObjectiveKind, scored_assignments
 from .meta import SCHEMA_VERSION
 
@@ -164,7 +157,7 @@ def build_histogram(
     """
     check_limit("histogram", g.n_vertices, "histograms")
     if g.edge_count < 1:
-        raise InvalidGraphError("phase encoding needs at least one edge")
+        raise InvalidParameterError("phase encoding needs at least one edge")
     is_cut = ObjectiveKind.coerce(objective) is ObjectiveKind.MAXCUT
     steps = frontier_route(g)
     if steps is not None:
@@ -336,7 +329,8 @@ def frontier_members(
 def uniform_histogram(n_support: int) -> PhaseHistogram:
     """One assignment at each angle k*pi/N for k = 1..N."""
     if n_support < 1:
-        raise InvalidSizeError("uniform histogram needs at least one level")
+        raise InvalidParameterError("uniform histogram needs at least one level")
+    check_limit("uniform", n_support, "uniform histograms")
     numerators = tuple(range(1, n_support + 1))
     return PhaseHistogram(
         _grid_thetas(n_support, numerators),
@@ -354,11 +348,11 @@ def two_peak_histogram(model, n_support: int) -> PhaseHistogram:
     rest; both peaks must stay populated.
     """
     if n_support < 2:
-        raise InvalidSizeError("a two-peak histogram needs at least 2 assignments")
+        raise InvalidParameterError("a two-peak histogram needs at least 2 assignments")
     n_low = round(float(model.q_l) * n_support)
     n_high = n_support - n_low
     if n_low < 1 or n_high < 1:
-        raise InvalidSizeError(
+        raise InvalidParameterError(
             f"support {n_support} cannot populate both peaks (split {n_low}/{n_high})"
         )
     return PhaseHistogram(
@@ -407,7 +401,7 @@ def build_class_table(g: Graph, objective: ObjectiveKind | str) -> ClassTable:
     """Materialize the level of every assignment of ``g``."""
     check_limit("class_table", g.n_vertices, "class tables")
     if g.edge_count < 1:
-        raise InvalidGraphError("phase encoding needs at least one edge")
+        raise InvalidParameterError("phase encoding needs at least one edge")
     chunks = scored_assignments(g, objective, "class tables")
     levels = np.concatenate([vals for _, vals in chunks], dtype=np.int32)
     return ClassTable(levels, g.edge_count + 1)

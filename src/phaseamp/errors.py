@@ -1,9 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per exit code.
 
 ``exit_code`` is what the command line interface returns when the error
-escapes to the top level: 2 for invalid input, 3 for requests beyond the
-enumeration and simulation limits, 4 for conditioning on an outcome of
-probability zero.
+escapes to the top level: 2 for invalid input (:class:`InvalidParameterError`),
+3 for requests beyond a size cap (:class:`ResourceLimitError`; see :data:`LIMITS`),
+4 for conditioning on an outcome of probability zero
+(:class:`ImpossibleOutcomeError`).
 """
 
 from __future__ import annotations
@@ -15,20 +16,8 @@ class PhaseAmpError(Exception):
     exit_code = 2
 
 
-class InvalidSizeError(PhaseAmpError, ValueError):
-    """A size parameter is outside the valid range for the construction."""
-
-
-class InvalidGraphError(PhaseAmpError, ValueError):
-    """A graph violates a structural requirement, or a graph file is malformed."""
-
-
 class InvalidParameterError(PhaseAmpError, ValueError):
-    """A numeric or flag argument is outside its documented domain."""
-
-
-class NoAmplificationError(InvalidParameterError):
-    """The two-peak filter cannot separate the peaks for these parameters."""
+    """Any invalid input: a parameter, a size, a graph or a file."""
 
 
 class ResourceLimitError(PhaseAmpError):
@@ -44,7 +33,10 @@ class ResourceLimitError(PhaseAmpError):
 # sample up to about 200 bytes of arrays, JSON and Python ints, the dense
 # oracle 2N amplitudes per record. A measurement record or trajectory keeps
 # one entry per outcome. Exact two-peak results stop at Python's default
-# limit on the digits of an int printed as a string.
+# limit on the digits of an int printed as a string. A builder graph (line,
+# grid, star-ring) keeps about 300 bytes per vertex, counted as R*C for a
+# grid, and a uniform histogram about 80 bytes per level (its `hist` report
+# about 1 KB); both are checked before anything is built.
 LIMITS = {
     "histogram": (62, "vertices"),
     "frontier": (1 << 22, "table entries"),
@@ -52,6 +44,8 @@ LIMITS = {
     "class_table": (20, "vertices"),
     "samples": (1_000_000, "draws"),
     "record": (1_000_000, "outcomes"),
+    "builder": (1_000_000, "vertices"),
+    "uniform": (1_000_000, "levels"),
     "dense_support": (1024, "assignments"),
     "dense_sequence": (8, "outcomes"),
     "exact_digits": (4300, "digits"),

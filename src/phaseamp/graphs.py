@@ -16,13 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    InvalidGraphError,
-    InvalidParameterError,
-    InvalidSizeError,
-    ResourceLimitError,
-    check_limit,
-)
+from .errors import InvalidParameterError, ResourceLimitError, check_limit
 
 _CHUNK = 1 << 22
 
@@ -56,19 +50,19 @@ class Graph:
     def __post_init__(self) -> None:
         n = int(self.n_vertices)
         if n < 1:
-            raise InvalidGraphError("a graph needs at least one vertex")
+            raise InvalidParameterError("a graph needs at least one vertex")
         canonical: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for edge in self.edges:
             u, v = (int(edge[0]), int(edge[1]))
             if u == v:
-                raise InvalidGraphError(f"self-loop at vertex {u}")
+                raise InvalidParameterError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise InvalidGraphError(f"edge ({u}, {v}) out of range for {n} vertices")
+                raise InvalidParameterError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u > v:
                 u, v = v, u
             if (u, v) in seen:
-                raise InvalidGraphError(f"duplicate edge ({u}, {v})")
+                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             canonical.append((u, v))
         canonical.sort()
@@ -88,14 +82,16 @@ class Graph:
 def make_line(q: int) -> Graph:
     """Path graph on vertices 0..q-1."""
     if q < 2:
-        raise InvalidSizeError("a line graph needs at least 2 vertices")
+        raise InvalidParameterError("a line graph needs at least 2 vertices")
+    check_limit("builder", q, "graph builders")
     return Graph(q, tuple((i, i + 1) for i in range(q - 1)))
 
 
 def make_grid(rows: int, cols: int) -> Graph:
     """Rectangular grid graph, vertices numbered row-major."""
     if rows < 1 or cols < 1 or rows * cols < 2:
-        raise InvalidSizeError("a grid needs at least two vertices")
+        raise InvalidParameterError("a grid needs at least two vertices")
+    check_limit("builder", rows * cols, "graph builders")
     edges: list[tuple[int, int]] = []
     for r in range(rows):
         for c in range(cols):
@@ -110,7 +106,8 @@ def make_grid(rows: int, cols: int) -> Graph:
 def make_star_ring(q: int) -> Graph:
     """Hub vertex 0 joined to every vertex of the cycle 1..q-1."""
     if q < 4:
-        raise InvalidSizeError("a star-ring needs at least 4 vertices")
+        raise InvalidParameterError("a star-ring needs at least 4 vertices")
+    check_limit("builder", q, "graph builders")
     edges = [(0, i) for i in range(1, q)]
     edges += [(i, i + 1) for i in range(1, q - 1)]
     edges.append((1, q - 1))
@@ -220,26 +217,26 @@ def format_graph_file(g: Graph) -> str:
 def parse_graph_text(text: str) -> Graph:
     rows = [line.strip() for line in text.splitlines() if line.strip()]
     if not rows or not rows[0].startswith("graph "):
-        raise InvalidGraphError("graph file must start with 'graph <n_vertices> <n_edges>'")
+        raise InvalidParameterError("graph file must start with 'graph <n_vertices> <n_edges>'")
     head = rows[0].split()
     if len(head) != 3:
-        raise InvalidGraphError(f"malformed header: {rows[0]!r}")
+        raise InvalidParameterError(f"malformed header: {rows[0]!r}")
     try:
         n = int(head[1])
         m = int(head[2])
     except ValueError as exc:
-        raise InvalidGraphError(f"malformed header: {rows[0]!r}") from exc
+        raise InvalidParameterError(f"malformed header: {rows[0]!r}") from exc
     edges: list[tuple[int, int]] = []
     for row in rows[1:]:
         parts = row.split()
         if len(parts) != 2:
-            raise InvalidGraphError(f"malformed edge line: {row!r}")
+            raise InvalidParameterError(f"malformed edge line: {row!r}")
         try:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
-            raise InvalidGraphError(f"malformed edge line: {row!r}") from exc
+            raise InvalidParameterError(f"malformed edge line: {row!r}") from exc
     if len(edges) != m:
-        raise InvalidGraphError(f"header declares {m} edges, file lists {len(edges)}")
+        raise InvalidParameterError(f"header declares {m} edges, file lists {len(edges)}")
     return Graph(n, tuple(edges))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,11 +33,7 @@ from phaseamp.encoding import (
     two_peak_histogram,
     uniform_histogram,
 )
-from phaseamp.errors import (
-    InvalidParameterError,
-    NoAmplificationError,
-    ResourceLimitError,
-)
+from phaseamp.errors import InvalidParameterError, ResourceLimitError
 
 from .oracles import ref_erf, ref_uniform_run_exact
 
@@ -66,11 +63,35 @@ class TestFlatSpectrum:
         assert abs(run.exact - run.estimate) / run.exact < 0.01
 
     def test_run_probability_log_branch_is_continuous(self):
-        # The exact-rational and log-space branches meet at 100000; the
+        # The exact-rational and log-series branches meet at 100000; the
         # step ratio across that seam must stay (2M+1)/(2M+2).
         below = uniform_run_probability(100_000).exact
         above = uniform_run_probability(100_001).exact
-        assert above / below == pytest.approx(200_001 / 200_002, rel=1e-9)
+        assert above / below == pytest.approx(200_001 / 200_002, rel=1e-15)
+
+    # Gamma(M+1/2) / (sqrt(pi) Gamma(M+1)), evaluated with mpmath at 50 digits.
+    @pytest.mark.parametrize(
+        "total,reference",
+        [
+            (10**6, 5.6418951302406275121e-4),
+            (10**9, 1.7841241159297556e-5),
+            (2**53, 5.944703227302918917e-9),
+        ],
+    )
+    def test_run_probability_past_the_seam_matches_the_gamma_ratio(self, total, reference):
+        assert uniform_run_probability(total).exact == pytest.approx(reference, rel=1e-15, abs=0)
+
+    def test_run_length_is_refused_where_pi_m_leaves_the_float_range(self):
+        # The largest accepted M still gives positive, finite values.
+        last = int(sys.float_info.max / math.pi)
+        run = uniform_run_probability(last)
+        assert run.exact == pytest.approx(run.estimate, rel=1e-15)
+        assert 0 < run.estimate == pytest.approx(7.4583407312002e-155, rel=1e-12)
+        assert gaussian_tail_estimate(1.0, last) == 1.0
+        for total in (last + 1, 10**400):
+            for closed_form in (uniform_run_probability, lambda m: gaussian_tail_estimate(1.0, m)):
+                with pytest.raises(InvalidParameterError, match="pi\\*M leaves the float range"):
+                    closed_form(total)
 
     def test_run_probability_against_flat_histogram(self):
         # A fine flat histogram converges on the continuum closed form.
@@ -235,7 +256,7 @@ class TestTwoPeakStats:
 
     def test_required_measurements_rejects_dead_lower_peak(self):
         model = TwoPeakModel.from_gains(Fraction(1, 4), 0, Fraction(3, 2))
-        with pytest.raises(NoAmplificationError):
+        with pytest.raises(InvalidParameterError, match="lower peak dies after one measurement"):
             two_peak_required_measurements(model, 10)
 
     def test_required_measurements_rejects_bad_target(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import phaseamp
-from phaseamp import cli, experiments, graphs, meta
+from phaseamp import cli, errors, experiments, graphs, meta
 from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
 from phaseamp.errors import LIMITS, InvalidParameterError
 from phaseamp.graphs import format_graph_file, make_line
@@ -867,6 +868,16 @@ class TestUniformAsymptoticsVerb:
             doc["run_probability_estimate"], rel=1e-3
         )
 
+    def test_series_branch_prints_the_gamma_ratio(self, capsys):
+        doc = run_json(capsys, "uniform-asymptotics", "--m", "1000000000")
+        assert doc["run_probability_exact"] == 1.7841241159297556e-05
+
+    @pytest.mark.parametrize("theta", [[], ["--theta", "pi/2"]])
+    def test_m_past_the_float_range_is_one_line(self, capsys, theta):
+        code, out, err = run_cli(capsys, "uniform-asymptotics", "--m", "1" + "0" * 400, *theta)
+        assert (code, out) == (2, "")
+        assert err == "error: run length past 5.72e+307, where pi*M leaves the float range\n"
+
     def test_gaussian_tail_section(self, capsys):
         doc = run_json(
             capsys, "uniform-asymptotics", "--m", "100", "--theta", "3.0"
@@ -1025,6 +1036,48 @@ class TestRejectedInput:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv,vertices",
+        [
+            (["graph", "line:100000000"], 100_000_000),
+            (["graph", "grid:100000x100000"], 10_000_000_000),
+            (["hist", "--graph", "starring:100000000"], 100_000_000),
+            (["amplify", "--graph", "grid:1001x1000", "--successes", "1"], 1_001_000),
+            (["figures", "--experiment", "custom", "--graphs", "line:1000001"], 1_000_001),
+            (["grid-table", "--grid", "starring:1000001"], 1_000_001),
+        ],
+        ids=["graph-line", "graph-grid", "hist-starring", "amplify", "figures", "grid-table"],
+    )
+    def test_builder_graph_past_the_cap_is_exit_3_before_any_work(
+        self, capsys, tmp_path, argv, vertices
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: graph builders capped at {LIMITS['builder'][0]} vertices, got {vertices}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv,levels",
+        [
+            (["hist", "--uniform", "1000000000000"], 1_000_000_000_000),
+            (["amplify", "--uniform", "1000001", "--successes", "1"], 1_000_001),
+        ],
+        ids=["hist", "amplify"],
+    )
+    def test_uniform_past_the_cap_is_exit_3_before_any_work(self, capsys, tmp_path, argv, levels):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: uniform histograms capped at {LIMITS['uniform'][0]} levels, got {levels}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_paths_are_exit_2(self, capsys, tmp_path):
         # A directory as a graph file, and an existing file as the out dir.
         taken = tmp_path / "taken"
@@ -1081,6 +1134,32 @@ class TestTopLevel:
             assert isinstance(value, types.ModuleType), name
             assert value.__name__ == f"phaseamp.{name}"
         assert phaseamp.__version__ == meta.__version__
+
+    def test_one_exception_class_per_exit_code(self):
+        defined = {
+            name: value for name, value in vars(errors).items()
+            if isinstance(value, type) and value.__module__ == errors.__name__
+        }
+        codes = {name: cls.exit_code for name, cls in defined.items() if name != "PhaseAmpError"}
+        assert codes == {
+            "InvalidParameterError": 2, "ResourceLimitError": 3, "ImpossibleOutcomeError": 4,
+        }
+        assert all(issubclass(cls, errors.PhaseAmpError) for cls in defined.values())
+
+    def test_src_raises_only_the_exit_code_classes(self):
+        # Every raise in the package names one of the three classes, or re-raises;
+        # argparse's own error type is the one exception, raised while parsing.
+        allowed = {"InvalidParameterError", "ResourceLimitError", "ImpossibleOutcomeError"}
+        others = set()
+        for path in sorted(Path(phaseamp.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if not isinstance(node, ast.Raise) or node.exc is None:
+                        continue
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if ast.unparse(exc) not in allowed:
+                        others.add((path.name, getattr(top, "name", None), ast.unparse(exc)))
+        assert others == {("cli.py", "_add_format", "argparse.ArgumentTypeError")}
 
     def test_verb_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1168,15 +1247,17 @@ class TestTopLevel:
             r"vertices on that route only; `--sample` draws at most (\d+) assignments; "
             r"a measurement record \(`amplify --successes`, `figures --m-max` and "
             r"`--successes`, `grid-table --successes`\) holds at most (\d+) outcomes; "
-            r"the dense oracle is capped at N=(\d+) / (\d+) measurements; exact "
+            r"a builder graph \(`line:Q`, `grid:RxC`, `starring:Q`\) has at most (\d+) "
+            r"vertices, counted as R·C for a grid, checked before any edge is built; "
+            r"`--uniform N` has at most (\d+) levels; the dense oracle is capped at N=(\d+) / (\d+) measurements; exact "
             r"`twopeak` results at (\d+) digits",
             text,
         )
         assert caps is not None
         budgets = (
             "histogram", "frontier", "enumeration", "enumeration", "frontier",
-            "class_table", "samples", "record", "dense_support", "dense_sequence",
-            "exact_digits",
+            "class_table", "samples", "record", "builder", "uniform", "dense_support",
+            "dense_sequence", "exact_digits",
         )
         assert tuple(int(v) for v in caps.groups()) == tuple(
             LIMITS[b][0] for b in budgets

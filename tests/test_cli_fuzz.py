@@ -24,12 +24,14 @@ from phaseamp.graphs import ObjectiveKind, parse_graph_spec
 
 from .oracles import ref_objective, ref_validating_step
 
+# Builder specs past the vertex cap, refused before any edge is built.
+HUGE = ("line:100000000", "grid:100000x100000", "starring:100000000")
 # "." is a directory, which no graph file can be.
 GRAPHS = (
     "line:2", "line:7", "grid:2x3", "grid:3x3", "starring:5", "starring:9",
-    "line:1", "grid:0x3", "line:29", "nosuch:4", ".",
+    "line:1", "grid:0x3", "line:29", "nosuch:4", ".", *HUGE,
 )
-GRIDS = ("grid:3x3", "grid:4x4", "line:10", "starring:8", "line:29", "grid:2x0")
+GRIDS = ("grid:3x3", "grid:4x4", "line:10", "starring:8", "line:29", "grid:2x0", *HUGE)
 OBJECTIVES = ("maxcut", "covered-edges", "cover", "bogus")
 ANGLES = (
     "0", "pi", "pi/2", "pi/3", "2pi/3", "3pi/4", "0.5", "3.1", "-1", "7",
@@ -45,7 +47,7 @@ LENGTHS = st.integers(min_value=-2, max_value=2000)
 # among them), and two that give the same file name.
 FIGURE_GRAPHS = (
     "line:10", "grid:3x3", "grid:4x4", "line:6", "line:4", "LINE:4", "grid:2x3",
-    "nosuch:4", "line:29", "", ".",
+    "nosuch:4", "line:29", "", ".", *HUGE,
 )
 EXPERIMENTS = ("fig1a", "fig1b", "fig1c", "fig2", "fig3", "grid-table", "custom", "all", "fig9")
 
@@ -78,7 +80,13 @@ def _req(flag: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[st
     return values.map(lambda v: [flag, v])
 
 
-SOURCE = st.one_of(_req("--graph", _text(GRAPHS)), _req("--uniform", _int(-1, 40)))
+# Uniform level counts: small, just past the cap, and far past it.
+LEVELS = st.one_of(_int(-1, 40), _text((str(LIMITS["uniform"][0] + 1), str(10**12))))
+SOURCE = st.one_of(_req("--graph", _text(GRAPHS)), _req("--uniform", LEVELS))
+# Flat-spectrum run lengths: small, past the series seam, and past the float range.
+RUN_LENGTHS = st.one_of(
+    LENGTHS.map(str), _text((str(10**6), str(10**9), str(2**53), "1" + "0" * 400)),
+)
 RECORD = st.one_of(
     _req("--sequence", st.text(alphabet="01", max_size=40)),
     _req("--successes", LENGTHS.map(str)),
@@ -111,7 +119,7 @@ ARGVS = st.one_of(
         _opt("--measurements", LENGTHS.map(str)), _opt("--target-ratio", _text(FRACTIONS)),
     ),
     _verb(
-        "uniform-asymptotics", _req("--m", LENGTHS.map(str)), _opt("--theta", _text(ANGLES)),
+        "uniform-asymptotics", _req("--m", RUN_LENGTHS), _opt("--theta", _text(ANGLES)),
     ),
     _verb(
         "verify-oracle", _opt("--max-qubits", _int(-2, 12)), _opt("--max-seq", _int(-2, 9)),
@@ -193,6 +201,9 @@ def test_every_argv_gives_a_report_or_a_one_line_error(argv):
             assert code == 2 and "--seed" in err, (argv, err)
     if verb == "hist" and _flag(argv, "--graph", None) == ".":
         assert code == 2 and "'.'" in err, (argv, err)
+    if set(HUGE) & set(argv) or int(_flag(argv, "--uniform", "0")) > LIMITS["uniform"][0]:
+        # Past the builder or uniform cap there is no report.
+        assert code != 0, argv
     if code != 0:
         return
     assert err == "", argv
@@ -278,8 +289,10 @@ def test_figures_writes_its_report_or_nothing(tmp_path_factory, argv, out_is_a_f
         target.write_text("")
     code, out, err, refused = _run([*argv, "--out", str(target)])
     assert code in (0, 2, 3, 4), (argv, code, err)
-    if "." in _flag(argv, "--graphs", "").split(",") or out_is_a_file:
-        # An unreadable graph file or an unwritable out dir is never a report.
+    chosen = set(_flag(argv, "--graphs", "").split(","))
+    if "." in chosen or set(HUGE) & chosen or out_is_a_file:
+        # An unreadable graph file, a builder graph past the cap or an
+        # unwritable out dir is never a report.
         assert code != 0, (argv, out_is_a_file)
     if code != 0:
         assert out == "", argv

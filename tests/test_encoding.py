@@ -22,12 +22,7 @@ from phaseamp.encoding import (
     two_peak_histogram,
     uniform_histogram,
 )
-from phaseamp.errors import (
-    LIMITS,
-    InvalidParameterError,
-    InvalidSizeError,
-    ResourceLimitError,
-)
+from phaseamp.errors import LIMITS, InvalidParameterError, ResourceLimitError
 from phaseamp.graphs import (
     Graph,
     ObjectiveKind,
@@ -321,8 +316,18 @@ class TestUniformHistogram:
         assert np.all(h.counts == 1)
 
     def test_rejects_empty(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(InvalidParameterError, match="needs at least one level"):
             uniform_histogram(0)
+
+    def test_level_cap_is_checked_before_any_level(self, monkeypatch):
+        with pytest.raises(ResourceLimitError) as refused:
+            uniform_histogram(10**12)
+        cap = LIMITS["uniform"][0]
+        assert str(refused.value) == f"uniform histograms capped at {cap} levels, got {10**12}"
+        monkeypatch.setitem(LIMITS, "uniform", (5, "levels"))
+        assert uniform_histogram(5).n_levels == 5
+        with pytest.raises(ResourceLimitError, match="uniform histograms capped at 5 levels, got 6"):
+            uniform_histogram(6)
 
 
 class TestTwoPeakHistogram:
@@ -336,7 +341,7 @@ class TestTwoPeakHistogram:
 
     def test_rejects_unpopulated_peak(self):
         model = TwoPeakModel.from_gains(0.125, 0.125, 2)
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(InvalidParameterError, match="cannot populate both peaks"):
             two_peak_histogram(model, 3)
 
 

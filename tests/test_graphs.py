@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from phaseamp import graphs
-from phaseamp.errors import (
-    InvalidGraphError,
-    InvalidParameterError,
-    InvalidSizeError,
-    ResourceLimitError,
-)
+from phaseamp.errors import LIMITS, InvalidParameterError, ResourceLimitError
 from phaseamp.graphs import (
     Graph,
     ObjectiveKind,
@@ -40,7 +35,7 @@ class TestConstructors:
         assert (0, 1) in g.edges and (8, 9) in g.edges
 
     def test_line_too_small(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(InvalidParameterError, match="line graph needs at least 2 vertices"):
             make_line(1)
 
     @pytest.mark.parametrize("rows,cols,edges", [(3, 3, 12), (4, 4, 24), (1, 5, 4), (2, 2, 4)])
@@ -57,7 +52,7 @@ class TestConstructors:
         assert (3, 4) not in g.edges  # no wraparound between rows
 
     def test_grid_too_small(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(InvalidParameterError, match="grid needs at least two vertices"):
             make_grid(1, 1)
 
     def test_star_ring_structure(self):
@@ -68,8 +63,38 @@ class TestConstructors:
         assert (1, 15) in g.edges  # ring wraparound
 
     def test_star_ring_too_small(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(InvalidParameterError, match="star-ring needs at least 4 vertices"):
             make_star_ring(3)
+
+    @pytest.mark.parametrize(
+        "build,args,vertices",
+        [
+            (make_line, (100_000_000,), 100_000_000),
+            (make_grid, (100_000, 100_000), 10_000_000_000),
+            (make_star_ring, (100_000_000,), 100_000_000),
+        ],
+        ids=["line", "grid", "starring"],
+    )
+    def test_past_the_vertex_cap_is_refused_before_any_edge(self, build, args, vertices):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as refused:
+                build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert str(refused.value) == (
+            f"graph builders capped at {LIMITS['builder'][0]} vertices, got {vertices}"
+        )
+
+    def test_vertex_cap_is_inclusive_and_counts_grid_cells(self, monkeypatch):
+        monkeypatch.setitem(LIMITS, "builder", (12, "vertices"))
+        assert make_line(12).n_vertices == make_star_ring(12).n_vertices == 12
+        assert make_grid(3, 4).n_vertices == 12
+        for build, args in ((make_line, (13,)), (make_grid, (2, 7)), (make_star_ring, (13,))):
+            with pytest.raises(ResourceLimitError, match="capped at 12 vertices, got 1[34]"):
+                build(*args)
 
 
 class TestGraphValidation:
@@ -78,19 +103,19 @@ class TestGraphValidation:
         assert g.edges == ((0, 1), (0, 2))
 
     def test_rejects_self_loop(self):
-        with pytest.raises(InvalidGraphError):
+        with pytest.raises(InvalidParameterError, match="self-loop at vertex 1"):
             Graph(3, ((1, 1),))
 
     def test_rejects_duplicate_either_orientation(self):
-        with pytest.raises(InvalidGraphError):
+        with pytest.raises(InvalidParameterError, match=r"duplicate edge \(0, 1\)"):
             Graph(3, ((0, 1), (1, 0)))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidGraphError):
+        with pytest.raises(InvalidParameterError, match=r"edge \(0, 3\) out of range"):
             Graph(3, ((0, 3),))
 
     def test_rejects_empty_vertex_set(self):
-        with pytest.raises(InvalidGraphError):
+        with pytest.raises(InvalidParameterError, match="needs at least one vertex"):
             Graph(0, ())
 
 
@@ -306,7 +331,7 @@ class TestFileFormat:
             parse_graph_spec("line:x")
 
     def test_parse_spec_keeps_size_errors(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(InvalidParameterError, match="line graph needs at least 2 vertices"):
             parse_graph_spec("line:1")
 
     @pytest.mark.parametrize(
@@ -324,5 +349,5 @@ class TestFileFormat:
     def test_malformed_files(self, tmp_path, text):
         path = tmp_path / "bad.graph"
         path.write_text(text)
-        with pytest.raises(InvalidGraphError):
+        with pytest.raises(InvalidParameterError, match="graph file must start|malformed|declares"):
             read_graph_file(path)
