@@ -60,16 +60,17 @@ class UniformRunProbability(NamedTuple):
     estimate: float
 
 
-# Past this run length, pi*M leaves the float range.
+# Past this run length, float arithmetic on it overflows: pi*M first, and
+# any power or product that converts it to a float soon after.
 _MAX_RUN = sys.float_info.max / math.pi
 
 
-def _check_run_length(total: int) -> None:
-    if total < 1:
-        raise InvalidParameterError("run length must be at least 1")
+def _check_run_length(total: int, minimum: int = 1) -> None:
+    if total < minimum:
+        raise InvalidParameterError(f"run length must be at least {minimum}")
     if total > _MAX_RUN:
         raise InvalidParameterError(
-            f"run length past {_MAX_RUN:.3g}, where pi*M leaves the float range"
+            f"run length past {_MAX_RUN:.3g}, where float arithmetic on it overflows"
         )
 
 
@@ -191,8 +192,7 @@ def two_peak_stats(model: TwoPeakModel, measurements: int) -> TwoPeakStats:
     Exact shares and gains stay exact; any float input is evaluated in log
     space, so long runs neither overflow the gains nor underflow the peaks.
     """
-    if measurements < 0:
-        raise InvalidParameterError("measurement count must be nonnegative")
+    _check_run_length(measurements, minimum=0)
     if not all(isinstance(v, (int, Fraction)) for v in (model.q_u, model.a_l, model.a_u)):
         return _two_peak_stats_log(model, measurements)
     check_limit("exact_digits", _exact_digits(model, measurements), "exact two-peak results")
@@ -320,8 +320,7 @@ def bound_from_success_run(p_run: float, m: int, theta_ref: float) -> TailBounds
     ``(1 - cos theta_ref) / 2`` and levels below at most that, which traps the
     tail mass between the two returned values.
     """
-    if m < 1:
-        raise InvalidParameterError("run length must be at least 1")
+    _check_run_length(m)
     if not 0.0 < theta_ref < math.pi:
         raise InvalidParameterError("reference angle must lie strictly inside (0, pi)")
     if not 0.0 <= p_run <= 1.0:

@@ -19,28 +19,42 @@ the new data register, which is a block swap here.
 
 This module deliberately shares no code with the per-level amplifier: it
 tracks one amplitude per assignment and register instead of one weight per
-level, so agreement between the two is a real check.
+level, so agreement between the two is a real check. It calls the fold only
+to compare against it, never to compute a dense amplitude.
+
+:func:`compare_with_class_weights` walks the sequences as a prefix tree, one
+layer per length: each prefix keeps its dense state, its running dense log
+probability and its fold state, and one interference round followed by both
+measurement outcomes gives its two children. A phase set with sequences of
+length up to L therefore costs 2^(L+1) - 2 measurements, not a replay of
+every prefix inside each longer sequence, and each case gets the same float
+operations as a from-scratch run of that sequence.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .amplifier import MeasurementSequence, run_sequence
+from .amplifier import ClassState, MeasurementSequence, initial_state, step
 from .encoding import histogram_from_phases
 from .errors import ImpossibleOutcomeError, InvalidParameterError, check_limit
 
 _NORM_ATOL = 1e-12
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class DoubledState:
-    """Normalized state over the paired-register subspace."""
+    """Normalized state over the paired-register subspace.
+
+    A state a caller builds is copied and checked in full here. The
+    simulator builds its states through :meth:`_built`, which trusts the
+    shape and type of the fresh array it is given.
+    """
 
     amplitudes: np.ndarray
     n_support: int
@@ -49,11 +63,26 @@ class DoubledState:
         amp = np.asarray(self.amplitudes, dtype=np.complex128).copy()
         if amp.ndim != 1 or amp.size != 2 * self.n_support or self.n_support < 1:
             raise InvalidParameterError("need 2 * n_support amplitudes")
-        norm = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm - 1.0) > _NORM_ATOL:
-            raise InvalidParameterError(f"state norm {norm} is not 1")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
+        self._check_norm()
+
+    def _check_norm(self) -> None:
+        """The check that rounding can trip, written so that NaN fails it."""
+        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
+        if not abs(norm - 1.0) <= _NORM_ATOL:
+            raise InvalidParameterError(f"state norm {norm} is not 1")
+
+    @classmethod
+    def _built(cls, amplitudes: np.ndarray, n_support: int) -> "DoubledState":
+        """A state the simulator builds: a fresh complex128 array of
+        ``2 * n_support`` amplitudes. Only :meth:`_check_norm` runs."""
+        state = object.__new__(cls)
+        amplitudes.flags.writeable = False
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "n_support", n_support)
+        state._check_norm()
+        return state
 
     @property
     def a_block(self) -> np.ndarray:
@@ -79,7 +108,30 @@ def prepare(phases: Sequence[float]) -> DoubledState:
     n = arr.size
     amp = np.zeros(2 * n, dtype=np.complex128)
     amp[:n] = 1.0 / math.sqrt(n)
-    return DoubledState(amp, n)
+    return DoubledState._built(amp, n)
+
+
+def _round(
+    amplitudes: np.ndarray, n: int, kick: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One interference round; ``kick`` holds exp(i phase_x). Returns both blocks."""
+    a = amplitudes[:n]
+    b = amplitudes[n:]
+    a1 = (a - b) * _INV_SQRT2
+    b1 = (a + b) * _INV_SQRT2
+    a1 = kick * a1
+    return (a1 - b1) * _INV_SQRT2, (a1 + b1) * _INV_SQRT2
+
+
+def _measure(kept: np.ndarray, outcome: int) -> tuple[DoubledState, float]:
+    """Keep one block after the reference measurement, as the new data block."""
+    n = kept.size
+    p = float(np.sum(np.abs(kept) ** 2))
+    if p <= 0.0:
+        raise ImpossibleOutcomeError(f"outcome {outcome} has probability 0")
+    amp = np.zeros(2 * n, dtype=np.complex128)
+    amp[:n] = kept / math.sqrt(p)
+    return DoubledState._built(amp, n), p
 
 
 def apply_interference_round(state: DoubledState, phases: Sequence[float]) -> DoubledState:
@@ -88,15 +140,8 @@ def apply_interference_round(state: DoubledState, phases: Sequence[float]) -> Do
     n = state.n_support
     if arr.size != n:
         raise InvalidParameterError("one phase per supported assignment required")
-    inv = 1.0 / math.sqrt(2.0)
-    a = state.a_block
-    b = state.b_block
-    a1 = (a - b) * inv
-    b1 = (a + b) * inv
-    a1 = np.exp(1j * arr) * a1
-    a2 = (a1 - b1) * inv
-    b2 = (a1 + b1) * inv
-    return DoubledState(np.concatenate([a2, b2]), n)
+    a, b = _round(state.amplitudes, n, np.exp(1j * arr))
+    return DoubledState._built(np.concatenate([a, b]), n)
 
 
 def measure_reference(state: DoubledState, outcome: int) -> tuple[DoubledState, float]:
@@ -107,14 +152,7 @@ def measure_reference(state: DoubledState, outcome: int) -> tuple[DoubledState, 
     """
     if outcome not in (0, 1):
         raise InvalidParameterError("outcome must be 0 or 1")
-    n = state.n_support
-    kept = state.a_block if outcome else state.b_block
-    p = float(np.sum(np.abs(kept) ** 2))
-    if p <= 0.0:
-        raise ImpossibleOutcomeError(f"outcome {outcome} has probability 0")
-    amp = np.zeros(2 * n, dtype=np.complex128)
-    amp[:n] = kept / math.sqrt(p)
-    return DoubledState(amp, n), p
+    return _measure(state.a_block if outcome else state.b_block, outcome)
 
 
 def run_sequence_fullsim(
@@ -143,6 +181,19 @@ class OracleComparison:
     max_distribution_deviation: float
 
 
+# One node of the prefix tree: dense state, dense log p, fold state.
+_Prefix = tuple[DoubledState, float, ClassState]
+
+
+def _children(prefix: _Prefix, kick: np.ndarray) -> Iterator[_Prefix]:
+    """The prefix extended by outcome 0, then by outcome 1."""
+    state, log_p, fold = prefix
+    a, b = _round(state.amplitudes, state.n_support, kick)
+    for outcome, kept in ((0, b), (1, a)):
+        child, p = _measure(kept, outcome)
+        yield child, log_p + math.log(p), step(fold, outcome)[0]
+
+
 def compare_with_class_weights(
     n_phase_sets: int = 50,
     max_support: int = 32,
@@ -155,6 +206,8 @@ def compare_with_class_weights(
     run through the dense simulator and through the per-level fold, comparing
     both the joint sequence probability and the conditional per-assignment
     distribution (a level weight spread uniformly over the level's members).
+    The sequences of each length come in lexicographic order, each one the
+    extension of a prefix of the previous length.
     """
     if n_phase_sets < 1 or max_support < 2 or max_sequence < 0:
         raise InvalidParameterError(
@@ -173,13 +226,16 @@ def compare_with_class_weights(
         phases = np.sort(gen.uniform(0.01, math.pi - 0.01, size=n))
         h = histogram_from_phases(phases)
         level_of = np.searchsorted(h.thetas, phases)
-        for m in range(0, max_sequence + 1):
-            for bits in itertools.product((0, 1), repeat=m):
-                y = MeasurementSequence(bits)
-                p_dense, dist_dense = run_sequence_fullsim(phases, y)
-                state, p_fold = run_sequence(h, y)
-                per_x = state.weights[level_of] / h.counts[level_of]
-                worst_p = max(worst_p, abs(p_dense - p_fold))
+        members = h.counts[level_of]
+        kick = np.exp(1j * phases)
+        layer = [(prepare(phases), 0.0, initial_state(h))]
+        for m in range(max_sequence + 1):
+            if m:
+                layer = [child for prefix in layer for child in _children(prefix, kick)]
+            for state, log_p, fold in layer:
+                dist_dense = np.abs(state.a_block) ** 2
+                per_x = fold.weights[level_of] / members
+                worst_p = max(worst_p, abs(math.exp(log_p) - fold.probability))
                 worst_d = max(worst_d, float(np.max(np.abs(dist_dense - per_x))))
                 cases += 1
     return OracleComparison(cases, worst_p, worst_d)

@@ -3,20 +3,25 @@
 Everything here is deliberately plain Python written in a different style
 from the package (string bit fiddling, Counter bookkeeping, per-assignment
 loops, direct summation), so agreement between the two routes actually
-means something. The exception is :func:`ref_validating_step`, which is
-the package's former fold step, kept as the oracle of the one that replaced it.
+means something. The exceptions are :func:`ref_validating_step`, the
+package's former fold step, and :func:`ref_compare_with_class_weights`, the
+dense oracle's former from-scratch loop, each kept as the oracle of the code
+that replaced it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from phaseamp.amplifier import ClassState
+from phaseamp.amplifier import ClassState, MeasurementSequence, run_sequence
+from phaseamp.encoding import histogram_from_phases
 from phaseamp.errors import ImpossibleOutcomeError
+from phaseamp.fullsim import OracleComparison, run_sequence_fullsim
 
 
 def bits_of(x: int, n: int) -> str:
@@ -136,6 +141,32 @@ def ref_validating_step(state: ClassState, outcome: int) -> tuple[ClassState, fl
     new = ClassState(state.histogram, raw / p, state.log_sequence_probability + math.log(p))
     return new, p
 
+
+
+def ref_compare_with_class_weights(
+    n_phase_sets: int = 50, max_support: int = 32, max_sequence: int = 6, seed: int | None = 0
+) -> OracleComparison:
+    """The dense oracle as the package ran it before its prefix pass: every
+    sequence simulated from scratch on both routes, the same phase sets drawn."""
+    gen = np.random.default_rng(seed)
+    worst_p = 0.0
+    worst_d = 0.0
+    cases = 0
+    for _ in range(n_phase_sets):
+        n = int(gen.integers(2, max_support + 1))
+        phases = np.sort(gen.uniform(0.01, math.pi - 0.01, size=n))
+        h = histogram_from_phases(phases)
+        level_of = np.searchsorted(h.thetas, phases)
+        for m in range(0, max_sequence + 1):
+            for bits in itertools.product((0, 1), repeat=m):
+                y = MeasurementSequence(bits)
+                p_dense, dist_dense = run_sequence_fullsim(phases, y)
+                state, p_fold = run_sequence(h, y)
+                per_x = state.weights[level_of] / h.counts[level_of]
+                worst_p = max(worst_p, abs(p_dense - p_fold))
+                worst_d = max(worst_d, float(np.max(np.abs(dist_dense - per_x))))
+                cases += 1
+    return OracleComparison(cases, worst_p, worst_d)
 
 def ref_tail_mass(thetas, counts, theta: float, atol: float = 1e-12) -> float:
     support = sum(int(c) for c in counts)

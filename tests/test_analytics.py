@@ -90,7 +90,7 @@ class TestFlatSpectrum:
         assert gaussian_tail_estimate(1.0, last) == 1.0
         for total in (last + 1, 10**400):
             for closed_form in (uniform_run_probability, lambda m: gaussian_tail_estimate(1.0, m)):
-                with pytest.raises(InvalidParameterError, match="pi\\*M leaves the float range"):
+                with pytest.raises(InvalidParameterError, match="float arithmetic on it overflows"):
                     closed_form(total)
 
     def test_run_probability_against_flat_histogram(self):

@@ -23,7 +23,11 @@ from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
 from phaseamp.errors import LIMITS, InvalidParameterError
 from phaseamp.graphs import format_graph_file, make_line
 
-from .oracles import ref_objective
+from .oracles import ref_compare_with_class_weights, ref_objective
+
+
+# One line for every run length too large for float arithmetic.
+PAST_THE_FLOAT_RANGE = "error: run length past 5.72e+307, where float arithmetic on it overflows\n"
 
 
 def run_cli(capsys, *argv):
@@ -714,6 +718,12 @@ class TestBoundsVerb:
         doc = strict_json(out)
         assert 0.0 <= doc["tail_lower_bound"] <= doc["tail_upper_bound"] <= 1.0
 
+    def test_m_past_the_float_range_is_one_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--p-run", "0.5", "--theta-ref", "pi/2", "--m", "1" + "0" * 400
+        )
+        assert (code, out, err) == (2, "", PAST_THE_FLOAT_RANGE)
+
 
 class TestTwopeakVerb:
     def test_exact_report(self, capsys):
@@ -848,6 +858,16 @@ class TestTwopeakVerb:
         log_p = math.log(1 / 8) + 5000 * math.log(0.75)
         assert doc["log_run_probability"] == pytest.approx(log_p, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "gains",
+        [["--a-l", "1/8", "--a-u", "2"], ["--alpha-l", "pi/3", "--alpha-u", "2pi/3"]],
+    )
+    def test_measurements_past_the_float_range_is_one_line(self, capsys, gains):
+        code, out, err = run_cli(
+            capsys, "twopeak", "--q-u", "1/8", *gains, "--measurements", "1" + "0" * 400
+        )
+        assert (code, out, err) == (2, "", PAST_THE_FLOAT_RANGE)
+
 
 class TestUniformAsymptoticsVerb:
     def test_small_m_report(self, capsys):
@@ -876,7 +896,7 @@ class TestUniformAsymptoticsVerb:
     def test_m_past_the_float_range_is_one_line(self, capsys, theta):
         code, out, err = run_cli(capsys, "uniform-asymptotics", "--m", "1" + "0" * 400, *theta)
         assert (code, out) == (2, "")
-        assert err == "error: run length past 5.72e+307, where pi*M leaves the float range\n"
+        assert err == PAST_THE_FLOAT_RANGE
 
     def test_gaussian_tail_section(self, capsys):
         doc = run_json(
@@ -930,6 +950,24 @@ class TestVerifyOracleVerb:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {flag} ")
         assert err.endswith(f"got {value}\n")
+
+    def test_report_bytes_match_the_from_scratch_oracle(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-oracle", "--sets", "10", "--max-qubits", "5", "--max-seq", "4",
+            "--seed", "7",
+        )
+        assert code == 0, err
+        ref = ref_compare_with_class_weights(
+            n_phase_sets=10, max_support=32, max_sequence=4, seed=7
+        )
+        assert out == experiments.json_text(
+            {
+                "schema": meta.SCHEMA_VERSION,
+                "cases": ref.n_cases,
+                "max_probability_deviation": ref.max_probability_deviation,
+                "max_distribution_deviation": ref.max_distribution_deviation,
+            }
+        )
 
 
 class TestGridTableVerb:

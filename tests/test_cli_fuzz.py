@@ -83,7 +83,7 @@ def _req(flag: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[st
 # Uniform level counts: small, just past the cap, and far past it.
 LEVELS = st.one_of(_int(-1, 40), _text((str(LIMITS["uniform"][0] + 1), str(10**12))))
 SOURCE = st.one_of(_req("--graph", _text(GRAPHS)), _req("--uniform", LEVELS))
-# Flat-spectrum run lengths: small, past the series seam, and past the float range.
+# Run lengths: small, past the flat-spectrum series seam, and past the float range.
 RUN_LENGTHS = st.one_of(
     LENGTHS.map(str), _text((str(10**6), str(10**9), str(2**53), "1" + "0" * 400)),
 )
@@ -106,7 +106,7 @@ ARGVS = st.one_of(
         _switch("--include-zero"),
     ),
     _verb(
-        "bounds", _req("--p-run", _text(FLOATS)), _req("--m", LENGTHS.map(str)),
+        "bounds", _req("--p-run", _text(FLOATS)), _req("--m", RUN_LENGTHS),
         _req("--theta-ref", _text(ANGLES)), _opt("--p01", _text(FLOATS)),
         _opt("--half-width", _text(ANGLES)),
     ),
@@ -116,7 +116,7 @@ ARGVS = st.one_of(
             st.tuples(_opt("--a-l", _text(FRACTIONS)), _opt("--a-u", _text(FRACTIONS))),
             st.tuples(_opt("--alpha-l", _text(ANGLES)), _opt("--alpha-u", _text(ANGLES))),
         ).map(lambda pair: [*pair[0], *pair[1]]),
-        _opt("--measurements", LENGTHS.map(str)), _opt("--target-ratio", _text(FRACTIONS)),
+        _opt("--measurements", RUN_LENGTHS), _opt("--target-ratio", _text(FRACTIONS)),
     ),
     _verb(
         "uniform-asymptotics", _req("--m", RUN_LENGTHS), _opt("--theta", _text(ANGLES)),

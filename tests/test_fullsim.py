@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from phaseamp import amplifier, fullsim
 from phaseamp.amplifier import MeasurementSequence, run_sequence
 from phaseamp.encoding import histogram_from_phases
 from phaseamp.errors import (
@@ -17,12 +18,35 @@ from phaseamp.errors import (
     ResourceLimitError,
 )
 from phaseamp.fullsim import (
+    DoubledState,
     apply_interference_round,
     compare_with_class_weights,
     measure_reference,
     prepare,
     run_sequence_fullsim,
 )
+
+from .oracles import ref_compare_with_class_weights
+
+
+class TestDoubledState:
+    @pytest.mark.parametrize("build", [DoubledState, DoubledState._built])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_amplitudes_are_refused_on_both_build_paths(self, build, bad):
+        with pytest.raises(InvalidParameterError, match="norm"):
+            build(np.array([bad, 0.0], dtype=np.complex128), 1)
+
+    @pytest.mark.parametrize("build", [DoubledState, DoubledState._built])
+    def test_unnormalized_amplitudes_are_refused_on_both_build_paths(self, build):
+        with pytest.raises(InvalidParameterError, match="norm"):
+            build(np.array([1.0, 1.0], dtype=np.complex128), 1)
+
+    def test_caller_array_is_copied_and_frozen(self):
+        amp = np.array([1.0, 0.0])
+        state = DoubledState(amp, 1)
+        amp[0] = 0.0
+        assert state.amplitudes[0] == 1.0
+        assert not state.amplitudes.flags.writeable
 
 
 class TestPrepare:
@@ -135,6 +159,31 @@ class TestOracleComparison:
         assert report.n_cases == 5 * (2**5 - 1)
         assert report.max_probability_deviation < 1e-10
         assert report.max_distribution_deviation < 1e-10
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            *({"n_phase_sets": 10, "max_support": 32, "max_sequence": 4, "seed": seed}
+              for seed in (0, 7, 12345)),
+            *({"n_phase_sets": 10, "max_support": 32, "max_sequence": length, "seed": 3}
+              for length in (0, 8)),
+            *({"n_phase_sets": 1, "max_support": support, "seed": 5} for support in (2, 1024)),
+            {},
+        ],
+    )
+    def test_prefix_pass_equals_the_from_scratch_oracle(self, plan):
+        # Same float operations per case, so every field is equal, not close.
+        assert compare_with_class_weights(**plan) == ref_compare_with_class_weights(**plan)
+
+    def test_replays_no_sequence_from_scratch(self, monkeypatch):
+        def replay(*args):
+            raise AssertionError("a sequence was replayed from scratch")
+
+        monkeypatch.setattr(fullsim, "run_sequence_fullsim", replay)
+        monkeypatch.setattr(fullsim, "run_sequence", replay, raising=False)
+        monkeypatch.setattr(amplifier, "run_sequence", replay)
+        report = compare_with_class_weights(n_phase_sets=2, max_support=8, max_sequence=3)
+        assert report.n_cases == 2 * (2**4 - 1)
 
     def test_rejects_overlong_sequences(self):
         with pytest.raises(ResourceLimitError):
