@@ -14,8 +14,8 @@ probability has the closed form
 
 which depends on ``y`` only through ``(q, m)``; :func:`sequence_probability`
 evaluates its log directly, while :func:`run_sequence` reaches the same
-probability by folding :func:`step`. The two routes are kept separate on
-purpose so either can check the other.
+probability by the step-by-step :func:`fold`. The two routes are kept
+separate on purpose so either can check the other.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +41,12 @@ from .errors import ImpossibleOutcomeError, InvalidParameterError, check_limit
 from .graphs import Graph, ObjectiveKind
 
 _WEIGHT_SUM_ATOL = 1e-12
+# The characters "0" and "1" as the bytes 0 and 1, and back.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+# The fold's block buffer: at most this many rows, and at most this many floats.
+_BLOCK_ROWS = 1024
+_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -55,18 +62,26 @@ class MeasurementSequence:
         object.__setattr__(self, "outcomes", tuple(int(b) for b in self.outcomes))
 
     @classmethod
+    def _of_bits(cls, outcomes: tuple[int, ...]) -> "MeasurementSequence":
+        """A record of 0/1 ints already checked against the record cap."""
+        y = object.__new__(cls)
+        object.__setattr__(y, "outcomes", outcomes)
+        return y
+
+    @classmethod
     def from_string(cls, text: str) -> "MeasurementSequence":
         s = text.strip()
-        if any(ch not in "01" for ch in s):
+        if not set(s) <= {"0", "1"}:
             raise InvalidParameterError(f"sequence must be a string of 0/1 bits: {text!r}")
-        return cls(tuple(int(ch) for ch in s))
+        check_limit("record", len(s), "a measurement record")
+        return cls._of_bits(tuple(s.encode().translate(_BIT_VALUES)))
 
     @classmethod
     def successes(cls, m: int) -> "MeasurementSequence":
         if m < 0:
             raise InvalidParameterError("sequence length must be nonnegative")
         check_limit("record", m, "a measurement record")
-        return cls((1,) * m)
+        return cls._of_bits((1,) * m)
 
     @property
     def m(self) -> int:
@@ -79,7 +94,7 @@ class MeasurementSequence:
         return sum(self.outcomes)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.outcomes)
+        return bytes(self.outcomes).translate(_BIT_CHARS).decode()
 
 
 @dataclass(frozen=True)
@@ -89,9 +104,9 @@ class ClassState:
     The outcomes themselves are not kept: the weights and the running log
     probability are all that later steps and every observable read.
 
-    A state a caller builds is checked in full here. :func:`step` builds its
-    states through :meth:`_after_step`, which trusts what holds by
-    construction.
+    A state a caller builds is checked in full here. :func:`step` and
+    :func:`run_sequence` build theirs through :meth:`_after_step`, which
+    trusts what holds by construction.
     """
 
     histogram: PhaseHistogram
@@ -112,36 +127,69 @@ class ClassState:
             raise InvalidParameterError("log probability must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        self._check_sums()
-
-    def _check_sums(self) -> None:
-        """The checks that rounding can trip, written so that NaN fails them."""
-        if not abs(float(self.weights.sum()) - 1.0) <= _WEIGHT_SUM_ATOL:
-            raise InvalidParameterError("weights must sum to 1")
-        if not self.log_sequence_probability <= ANGLE_ATOL:
-            raise InvalidParameterError("log probability must be nonpositive")
+        _check_sums(float(w.sum()), self.log_sequence_probability)
 
     @classmethod
     def _after_step(
         cls, histogram: PhaseHistogram, weights: np.ndarray, log_sequence_probability: float
     ) -> "ClassState":
-        """The state :func:`step` builds from ``raw / p``, a fresh array.
+        """The state :func:`step` or :func:`fold` builds from ``raw / p``, a fresh array.
 
         Its shape, signs and zero weight on empty levels hold by
-        construction, so only :meth:`_check_sums` runs.
+        construction, so only :func:`_check_sums` runs.
         """
         state = object.__new__(cls)
         weights.flags.writeable = False
         object.__setattr__(state, "histogram", histogram)
         object.__setattr__(state, "weights", weights)
         object.__setattr__(state, "log_sequence_probability", log_sequence_probability)
-        state._check_sums()
+        _check_sums(float(weights.sum()), log_sequence_probability)
         return state
 
     @property
     def probability(self) -> float:
         """Joint probability of the recorded outcomes."""
         return math.exp(self.log_sequence_probability)
+
+
+def _check_sums(weight_sum: float, log_p: float) -> None:
+    """The checks that rounding can trip, written so that NaN fails them."""
+    if not abs(weight_sum - 1.0) <= _WEIGHT_SUM_ATOL:
+        raise InvalidParameterError("weights must sum to 1")
+    if not log_p <= ANGLE_ATOL:
+        raise InvalidParameterError("log probability must be nonpositive")
+
+
+def _check_rows(rows: np.ndarray, logs: list[float]) -> None:
+    """:func:`_check_sums` on every row at once; the first failing row raises.
+
+    ``rows.sum(axis=1)`` adds each C-ordered row as ``row.sum()`` does, so
+    the sums checked are the ones a state per row would check.
+    """
+    sums = rows.sum(axis=1)
+    ok = (np.abs(sums - 1.0) <= _WEIGHT_SUM_ATOL) & (np.asarray(logs) <= ANGLE_ATOL)
+    if not ok.all():
+        i = int(ok.argmin())
+        _check_sums(float(sums[i]), logs[i])
+
+
+def _condition(
+    h: PhaseHistogram, weights: np.ndarray, log_p: float, outcome: int, out: np.ndarray | None
+) -> tuple[np.ndarray, float, float]:
+    """One step of the fold, shared by :func:`step` and :func:`fold`.
+
+    Returns the new weights ``raw / p`` (computed in ``out`` when given,
+    else in a fresh array), the branch probability ``p`` and the new
+    running log probability.
+    """
+    zero, one = h.branch_factors
+    raw = np.multiply(weights, one if outcome else zero, out)
+    p = float(raw.sum())
+    if not p > 0.0:
+        raise ImpossibleOutcomeError(
+            f"outcome {outcome} has probability 0 given the outcomes recorded so far"
+        )
+    return np.divide(raw, p, raw), p, log_p + math.log(p)
 
 
 def initial_state(h: PhaseHistogram) -> ClassState:
@@ -156,22 +204,59 @@ def step(state: ClassState, outcome: int) -> tuple[ClassState, float]:
     """
     if outcome not in (0, 1):
         raise InvalidParameterError("outcome must be 0 or 1")
-    zero, one = state.histogram.branch_factors
-    raw = state.weights * (one if outcome else zero)
-    p = float(raw.sum())
-    if not p > 0.0:
-        raise ImpossibleOutcomeError(
-            f"outcome {outcome} has probability 0 given the outcomes recorded so far"
-        )
-    log_p = state.log_sequence_probability + math.log(p)
-    return ClassState._after_step(state.histogram, raw / p, log_p), p
+    h = state.histogram
+    weights, p, log_p = _condition(h, state.weights, state.log_sequence_probability, outcome, None)
+    return ClassState._after_step(h, weights, log_p), p
+
+
+def fold(
+    h: PhaseHistogram,
+    outcomes: Sequence[int],
+    observe: Callable[[np.ndarray, list[float], list[float]], None] | None = None,
+) -> tuple[np.ndarray, float]:
+    """Condition the uniform state on each outcome in turn, as :func:`step` does.
+
+    Returns the final weights (a fresh read-only array) and the log
+    probability of the outcomes. No state is built per step: the weights of
+    successive states are written into one buffer of fixed size, a block.
+    Each block's weight sums and running logs are checked at once, as each
+    state's would be; when a step is impossible, the rows before it are
+    checked first, so the earliest step's error is the one raised. Then
+    ``observe(rows, ps, logs)``, when given, sees the block: a row of
+    weights per state, the initial state first, with the branch
+    probability of the step to it (1.0 for the initial state) and its
+    running log probability. The rows are overwritten by the next block.
+    """
+    if not set(outcomes) <= {0, 1}:
+        raise InvalidParameterError("outcome must be 0 or 1")
+    condition = _condition
+    weights, log_p = initial_state(h).weights, 0.0
+    n_states = len(outcomes) + 1
+    block = max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // h.n_levels, n_states))
+    rows = np.empty((block, h.n_levels))
+    rows[0] = weights
+    for first in range(0, n_states, block):
+        # The block holds states first, first + 1, ...; state s follows outcome s - 1.
+        ps, logs = ([1.0], [0.0]) if first == 0 else ([], [])
+        try:
+            for outcome in outcomes[max(first - 1, 0) : first + block - 1]:
+                weights, p, log_p = condition(h, weights, log_p, outcome, rows[len(ps)])
+                ps.append(p)
+                logs.append(log_p)
+        except ImpossibleOutcomeError:
+            _check_rows(rows[: len(ps)], logs)
+            raise
+        _check_rows(rows[: len(ps)], logs)
+        if observe is not None:
+            observe(rows[: len(ps)], ps, logs)
+    weights = weights.copy()
+    weights.flags.writeable = False
+    return weights, log_p
 
 
 def run_sequence(h: PhaseHistogram, y: MeasurementSequence) -> tuple[ClassState, float]:
-    """Fold :func:`step` over a whole sequence; returns the state and p(y)."""
-    state = initial_state(h)
-    for outcome in y.outcomes:
-        state, _ = step(state, outcome)
+    """:func:`fold` over a whole sequence; returns the final state and p(y)."""
+    state = ClassState._after_step(h, *fold(h, y.outcomes))
     return state, state.probability
 
 
@@ -209,7 +294,7 @@ def sequence_probability(h: PhaseHistogram, y: MeasurementSequence) -> float:
 
 def tail_probability(state: ClassState, theta: float) -> float:
     """Conditional probability of the levels at angles >= theta."""
-    return float(state.weights[state.histogram.tail_levels(theta)].sum())
+    return float(state.weights[state.histogram.tail_start(theta) :].sum())
 
 
 def unconditional_tail_probability(state: ClassState, theta: float) -> float:

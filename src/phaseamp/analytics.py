@@ -375,9 +375,9 @@ def sampling_comparison(h: PhaseHistogram, theta: float, m: int) -> SamplingComp
     """Compare an m-step all-ones run against direct sampling for the tail at theta."""
     if m < 0:
         raise InvalidParameterError("run length must be nonnegative")
-    mask = h.tail_levels(theta)
-    counts = h.counts[mask]
-    cosines = np.cos(h.thetas[mask])
+    tail = h.tail_start(theta)
+    counts = h.counts[tail:]
+    cosines = np.cos(h.thetas[tail:])
     support = h.support
     p_sampled = float(counts.sum() / support)
     p_amplified = float(np.sum(counts * ((1.0 - cosines) / 2.0) ** m) / support)

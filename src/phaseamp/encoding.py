@@ -100,13 +100,14 @@ class PhaseHistogram:
             f.flags.writeable = False
         return factors
 
-    def tail_levels(self, theta: float) -> np.ndarray:
-        """Mask of the levels at angles >= theta (tolerant at boundaries)."""
-        return self.thetas >= theta - ANGLE_ATOL
+    def tail_start(self, theta: float) -> int:
+        """First level at an angle >= theta (tolerant at boundaries); the
+        angles increase, so the levels from there on are the tail."""
+        return int(np.searchsorted(self.thetas, theta - ANGLE_ATOL))
 
     def tail_mass(self, theta: float) -> float:
         """Fraction of the support at angles >= theta (tolerant at boundaries)."""
-        return float(self.counts[self.tail_levels(theta)].sum() / self.support)
+        return float(self.counts[self.tail_start(theta) :].sum() / self.support)
 
     def band_mass(self, half_width: float) -> float:
         """Fraction of the support with |theta - pi/2| <= half_width."""

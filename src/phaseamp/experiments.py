@@ -20,7 +20,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .amplifier import initial_state, step
+from .amplifier import fold
 from .encoding import PhaseHistogram, build_histogram
 from .errors import InvalidParameterError, check_limit
 from .graphs import ObjectiveKind, parse_graph_spec
@@ -43,7 +43,7 @@ def _fnum(v: float | None) -> str:
     return "" if v is None else format(float(v), ".12g")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One row of a success trajectory.
 
@@ -122,23 +122,24 @@ def success_trajectory(
     if m_max < 0:
         raise InvalidParameterError("iteration range must be nonnegative")
     optimal_level = int(np.max(np.nonzero(h.counts)[0]))
-    half, three_quarters = h.tail_levels(math.pi / 2), h.tail_levels(3 * math.pi / 4)
-    state, p = initial_state(h), 1.0
-    records = []
-    for m in range(m_max + 1):
-        if m:
-            state, p = step(state, 1)
-        w = state.weights
-        records.append(
-            IterationRecord(
-                m,
-                p,
-                state.probability,
-                float(w[optimal_level]),
-                float(w[half].sum()),
-                float(w[three_quarters].sum()),
+    half, three_quarters = h.tail_start(math.pi / 2), h.tail_start(3 * math.pi / 4)
+    records: list[IterationRecord] = []
+
+    def observe(rows: np.ndarray, ps: list[float], logs: list[float]) -> None:
+        # The tails are slices, so each row sum adds as a 1-d sum of that row does.
+        records.extend(
+            map(
+                IterationRecord,
+                range(len(records), len(records) + len(ps)),
+                ps,
+                map(math.exp, logs),
+                rows[:, optimal_level].tolist(),
+                rows[:, half:].sum(axis=1).tolist(),
+                rows[:, three_quarters:].sum(axis=1).tolist(),
             )
         )
+
+    weights, _ = fold(h, (1,) * m_max, observe)
     return RunReport(
         label,
         objective,
@@ -147,7 +148,7 @@ def success_trajectory(
         h.support,
         optimal_level,
         tuple(records),
-        state.weights,
+        weights,
     )
 
 

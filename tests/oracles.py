@@ -4,9 +4,10 @@ Everything here is deliberately plain Python written in a different style
 from the package (string bit fiddling, Counter bookkeeping, per-assignment
 loops, direct summation), so agreement between the two routes actually
 means something. The exceptions are :func:`ref_validating_step`, the
-package's former fold step, and :func:`ref_compare_with_class_weights`, the
-dense oracle's former from-scratch loop, each kept as the oracle of the code
-that replaced it.
+package's former fold step, :func:`ref_success_trajectory`, the former
+state-per-row trajectory loop, and :func:`ref_compare_with_class_weights`,
+the dense oracle's former from-scratch loop, each kept as the oracle of the
+code that replaced it.
 """
 
 from __future__ import annotations
@@ -18,9 +19,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from phaseamp.amplifier import ClassState, MeasurementSequence, run_sequence
-from phaseamp.encoding import histogram_from_phases
+from phaseamp.amplifier import (
+    ClassState,
+    MeasurementSequence,
+    initial_state,
+    run_sequence,
+    step,
+)
+from phaseamp.encoding import ANGLE_ATOL, PhaseHistogram, histogram_from_phases
 from phaseamp.errors import ImpossibleOutcomeError
+from phaseamp.experiments import IterationRecord, RunReport
 from phaseamp.fullsim import OracleComparison, run_sequence_fullsim
 
 
@@ -140,6 +148,51 @@ def ref_validating_step(state: ClassState, outcome: int) -> tuple[ClassState, fl
         )
     new = ClassState(state.histogram, raw / p, state.log_sequence_probability + math.log(p))
     return new, p
+
+
+def ref_validating_condition(h: PhaseHistogram, weights, log_p: float, outcome: int, out):
+    """:func:`ref_validating_step` in the signature of the package's step
+    helper ``amplifier._condition``: the weights ``raw / p``, copied into
+    ``out`` when given, the branch probability and the new log probability."""
+    new, p = ref_validating_step(ClassState(h, weights, log_p), outcome)
+    if out is None:
+        return new.weights, p, new.log_sequence_probability
+    out[...] = new.weights
+    return out, p, new.log_sequence_probability
+
+
+def ref_success_trajectory(h: PhaseHistogram, m_max: int) -> RunReport:
+    """The success trajectory as the package built it before its fold kernel:
+    a state per row through ``step``, each tail summed over a boolean mask."""
+    optimal_level = int(np.max(np.nonzero(h.counts)[0]))
+    half = h.thetas >= math.pi / 2 - ANGLE_ATOL
+    three_quarters = h.thetas >= 3 * math.pi / 4 - ANGLE_ATOL
+    state, p = initial_state(h), 1.0
+    records = []
+    for m in range(m_max + 1):
+        if m:
+            state, p = step(state, 1)
+        w = state.weights
+        records.append(
+            IterationRecord(
+                m,
+                p,
+                state.probability,
+                float(w[optimal_level]),
+                float(w[half].sum()),
+                float(w[three_quarters].sum()),
+            )
+        )
+    return RunReport(
+        "",
+        "maxcut",
+        0,
+        h.denominator if h.denominator is not None else 0,
+        h.support,
+        optimal_level,
+        tuple(records),
+        state.weights,
+    )
 
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from phaseamp import amplifier
 from phaseamp.amplifier import (
     ClassState,
     MeasurementSequence,
+    fold,
     initial_state,
     run_sequence,
     sample_assignment,
@@ -34,6 +37,7 @@ from phaseamp.errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
+from phaseamp.experiments import success_trajectory
 from phaseamp.graphs import (
     Graph,
     ObjectiveKind,
@@ -50,6 +54,7 @@ from .oracles import (
     ref_log_sequence_probability,
     ref_objective,
     ref_sequence_probability,
+    ref_success_trajectory,
     ref_validating_step,
 )
 
@@ -71,6 +76,7 @@ class TestMeasurementSequence:
         outcomes = (True, np.int64(0), 1.0, np.uint8(1))
         y = MeasurementSequence(outcomes)
         assert y.outcomes == (1, 0, 1, 1) and all(type(b) is int for b in y.outcomes)
+        assert str(y) == "1011"
 
     def test_rejects_non_bits(self):
         with pytest.raises(InvalidParameterError):
@@ -82,6 +88,25 @@ class TestMeasurementSequence:
             MeasurementSequence.from_string("10x")
         with pytest.raises(InvalidParameterError):
             MeasurementSequence.successes(-1)
+
+    def test_from_string_reads_each_bit_once(self):
+        y = MeasurementSequence.from_string(" 0110\n")
+        assert y == MeasurementSequence((0, 1, 1, 0))
+        assert all(type(b) is int for b in y.outcomes)
+        assert MeasurementSequence.from_string("").outcomes == ()
+
+    def test_from_string_refusals(self):
+        cap = LIMITS["record"][0]
+        for text in ("10x", "1 0", "2", "１", "0b1", "1" * cap + "x"):
+            with pytest.raises(InvalidParameterError) as info:
+                MeasurementSequence.from_string(text)
+            assert str(info.value) == f"sequence must be a string of 0/1 bits: {text!r}"
+        assert MeasurementSequence.from_string("1" * cap).m == cap
+        with pytest.raises(ResourceLimitError) as info:
+            MeasurementSequence.from_string("1" * (cap + 1))
+        assert str(info.value) == (
+            f"a measurement record capped at {cap} outcomes, got {cap + 1}"
+        )
 
     def test_record_length_cap(self):
         cap = LIMITS["record"][0]
@@ -243,8 +268,14 @@ class TestRunSequence:
 LONG_RUN_SPECS = ("grid:4x4", "line:16", "starring:16", "grid:3x5", "grid:3x4", "starring:12")
 
 
+# Rows of the fold's block on these graphs, and run lengths around its boundary.
+BLOCK = amplifier._BLOCK_ROWS
+LENGTHS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 1800)
+
+
 class TestFoldAgainstValidatingStep:
-    """The trusted step against the former step, which validated every state."""
+    """The trusted step and the fold kernel against the former step, which
+    validated every state, and the former state-per-row trajectory."""
 
     @pytest.fixture(scope="class")
     def long_run_histograms(self):
@@ -253,6 +284,59 @@ class TestFoldAgainstValidatingStep:
             for spec in LONG_RUN_SPECS
             for objective in ObjectiveKind
         }
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        rng = np.random.default_rng(14)
+        mostly_ones = tuple((rng.random(1800) < 0.75).astype(int).tolist())
+        return {"ones": (1,) * 1800, "mostly ones": mostly_ones}
+
+    @pytest.fixture(scope="class")
+    def validating_states(self, long_run_histograms, records):
+        """Each state of the validating route, the initial one first, as
+        (weight bytes, branch probability, log probability)."""
+        runs = {}
+        for key, h in long_run_histograms.items():
+            assert h.n_levels * BLOCK <= amplifier._BLOCK_FLOATS, key
+            for name, outcomes in records.items():
+                state, p = initial_state(h), 1.0
+                run = [(state.weights.tobytes(), p, state.log_sequence_probability)]
+                for outcome in outcomes:
+                    state, p = ref_validating_step(state, outcome)
+                    run.append((state.weights.tobytes(), p, state.log_sequence_probability))
+                runs[key, name] = run
+        return runs
+
+    def test_run_sequence_bit_for_bit(self, long_run_histograms, records, validating_states):
+        for key, h in long_run_histograms.items():
+            for name, outcomes in records.items():
+                for m in LENGTHS:
+                    state, p = run_sequence(h, MeasurementSequence(outcomes[:m]))
+                    weights, _, log_p = validating_states[key, name][m]
+                    assert state.weights.tobytes() == weights, (key, name, m)
+                    assert state.log_sequence_probability == log_p, (key, name, m)
+                    assert p == math.exp(log_p)
+
+    def test_observer_sees_every_state(self, long_run_histograms, records, validating_states):
+        for key, h in long_run_histograms.items():
+            for name, outcomes in records.items():
+                seen = []
+
+                def observe(rows, ps, logs):
+                    seen.extend(zip((row.tobytes() for row in rows), ps, logs))
+
+                fold(h, outcomes, observe)
+                assert seen == validating_states[key, name], (key, name)
+
+    def test_success_trajectory_bit_for_bit(self, long_run_histograms, validating_states):
+        # grid:3x4 maxcut is among these: a tail summed over a boolean-mask
+        # copy of the rows differs there from the per-row sums in the last bit.
+        for key, h in long_run_histograms.items():
+            ref = ref_success_trajectory(h, 1800)
+            for m in LENGTHS:
+                report = success_trajectory(h, m)
+                assert report.records == ref.records[: m + 1], (key, m)
+                assert report.weights.tobytes() == validating_states[key, "ones"][m][0]
 
     def test_bit_for_bit(self, long_run_histograms):
         rng = np.random.default_rng(14)
@@ -277,6 +361,87 @@ class TestFoldAgainstValidatingStep:
                 state, _ = step(state, 1)
                 drift = max(drift, abs(float(state.weights.sum()) - 1.0))
         assert drift < 1e-12
+
+
+class TestFoldChecks:
+    """The fold checks a block of states at once, and raises what a state per
+    step would have raised first."""
+
+    @staticmethod
+    def _faulty_steps(monkeypatch, faults):
+        """Step helper that goes wrong at the 1-based steps in ``faults``: its
+        weights halved ("sum"), its log probability positive ("log"), or its
+        outcome impossible ("impossible"). Returns the reset of its count."""
+        real, calls = amplifier._condition, []
+
+        def condition(h, weights, log_p, outcome, out):
+            calls.append(outcome)
+            fault = faults.get(len(calls))
+            if fault == "impossible":
+                raise ImpossibleOutcomeError(f"impossible at step {len(calls)}")
+            weights, p, log_p = real(h, weights, log_p, outcome, out)
+            if fault == "sum":
+                weights *= 0.5
+            if fault == "log":
+                log_p = 0.5
+            return weights, p, log_p
+
+        monkeypatch.setattr(amplifier, "_condition", condition)
+        return calls.clear
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {3: "sum"},
+            {3: "log"},
+            {3: "sum", 5: "impossible"},
+            {3: "log", 5: "sum"},
+            {5: "log", 3: "sum"},
+            {BLOCK + 5: "impossible"},
+            {BLOCK - 2: "sum", BLOCK + 3: "impossible"},
+            {BLOCK + 3: "sum", BLOCK + 5: "impossible"},
+            {BLOCK + 5: "impossible", 1800: "sum"},
+        ],
+    )
+    def test_the_earliest_steps_error(self, monkeypatch, grid44_histogram, faults):
+        h, outcomes = grid44_histogram, (1,) * 1800
+        reset = self._faulty_steps(monkeypatch, faults)
+        with pytest.raises((InvalidParameterError, ImpossibleOutcomeError)) as per_step:
+            state = initial_state(h)
+            for outcome in outcomes:
+                state, _ = step(state, outcome)
+        reset()
+        with pytest.raises(per_step.type, match=f"^{re.escape(str(per_step.value))}$"):
+            fold(h, outcomes)
+
+    def test_refuses_non_bits(self, grid44_histogram):
+        for outcomes in ((1, 2), (0, -1), (1, 0.5)):
+            with pytest.raises(InvalidParameterError, match="outcome must be 0 or 1"):
+                fold(grid44_histogram, outcomes)
+
+    def test_holds_one_block_and_nothing_per_step(self, grid44_histogram):
+        h = grid44_histogram
+        block = BLOCK * h.n_levels * 8
+        outcomes = (1,) * 20000
+        tracemalloc.start()
+        try:
+            fold(h, outcomes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Twenty thousand floats kept per step would be 480 kB.
+        assert peak < 2 * block
+
+    def test_a_block_of_wide_rows_is_capped(self):
+        h = uniform_histogram(200_000)
+        tracemalloc.start()
+        try:
+            fold(h, (1,) * 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A few arrays of the levels, not a block of up to 1024 rows of them.
+        assert peak < 8 * h.n_levels * 8
 
 
 class TestClosedForm:

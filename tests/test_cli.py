@@ -249,6 +249,23 @@ class TestAmplifyVerb:
         assert code == 4
         assert "probability 0" in err
 
+    @pytest.mark.parametrize(
+        "sequence", ["0", "110", "1" * 1023 + "0", "1" * 1024 + "0", "1" * 1500 + "0"]
+    )
+    def test_impossible_outcome_is_one_line_wherever_it_falls(self, capsys, sequence):
+        # One level at pi: every 1 is certain and the first 0 impossible, in
+        # the fold's first block or past it.
+        code, out, err = run_cli(capsys, "amplify", "--uniform", "1", "--sequence", sequence)
+        assert (code, out) == (4, "")
+        assert err == "error: outcome 0 has probability 0 given the outcomes recorded so far\n"
+
+    def test_a_record_of_zeros_with_a_level_at_zero_is_possible(self, capsys):
+        # line:7's all-ones assignment cuts nothing: its level at angle 0
+        # keeps every 0 possible, so nine of them are a report, not exit 4.
+        doc = run_json(capsys, "amplify", "--graph", "line:7", "--sequence", "0" * 9)
+        assert doc["probability"] == pytest.approx(doc["closed_form_probability"], rel=1e-12)
+        assert doc["weights"][-1] == 0.0 and doc["weights"][0] > 0.0
+
     def test_bad_sequence_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "amplify", "--graph", "line:4", "--sequence", "10x")
         assert code == 2

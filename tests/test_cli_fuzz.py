@@ -17,12 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phaseamp import amplifier, experiments
+from phaseamp import amplifier
 from phaseamp.cli import main
 from phaseamp.errors import LIMITS
 from phaseamp.graphs import ObjectiveKind, parse_graph_spec
 
-from .oracles import ref_objective, ref_validating_step
+from .oracles import ref_objective, ref_validating_condition
 
 # Builder specs past the vertex cap, refused before any edge is built.
 HUGE = ("line:100000000", "grid:100000x100000", "starring:100000000")
@@ -250,15 +250,25 @@ FOLD_ARGVS = [
     ["amplify", "--graph", "line:7", "--sequence", "0" * 9],
     ["amplify", "--uniform", "1", "--sequence", "110"],
     ["grid-table", "--grid", "grid:3x3", "--successes", "40"],
+    # Trajectories past one block of the fold, grid:3x4's tails among them.
+    ["figures", "--experiment", "custom", "--graphs", "grid:3x4,line:14", "--m-max", "1100",
+     "--format", "csv,json"],
 ]
 
 
 @pytest.mark.parametrize("argv", FOLD_ARGVS)
-def test_fold_prints_what_the_validating_step_printed(monkeypatch, argv):
-    trusted = _run(argv)
-    monkeypatch.setattr(amplifier, "step", ref_validating_step)
-    monkeypatch.setattr(experiments, "step", ref_validating_step)
-    assert _run(argv) == trusted
+def test_fold_prints_what_the_validating_step_printed(monkeypatch, tmp_path, argv):
+    if argv[0] == "figures":
+        argv = [*argv, "--out", str(tmp_path)]
+    trusted = _run(argv), _files(tmp_path)
+    # Every step of the fold kernel, of `step` and so of the dense oracle's
+    # fold side goes through the step helper.
+    monkeypatch.setattr(amplifier, "_condition", ref_validating_condition)
+    assert (_run(argv), _files(tmp_path)) == trusted
+
+
+def _files(out_dir: Path) -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(out_dir.iterdir())}
 
 
 FIGURES_ARGVS = _verb(
