@@ -14,8 +14,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -43,8 +44,7 @@ def _fnum(v: float | None) -> str:
     return "" if v is None else format(float(v), ".12g")
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One row of a success trajectory.
 
     ``p_individual`` is the branch probability of the m-th success (1.0 on
@@ -493,8 +493,83 @@ def slug(label: str) -> str:
 
 
 def json_text(doc: dict) -> str:
-    """The text of every JSON report: indented, and strict (no NaN or Infinity)."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """The text of every JSON report: the bytes of ``json.dumps(doc, indent=2,
+    allow_nan=False)`` and a newline.
+
+    It is strict: NaN and infinities raise ``InvalidParameterError`` (a
+    ``ValueError``) with json.dumps's message; a value JSON cannot hold and a key
+    that is not a ``str`` raise ``TypeError``.
+    """
+    return _texts([doc], "\n")[0] + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+_NON_FINITE = "Out of range float values are not JSON compliant: "
+
+
+def _texts(values: list, pad: str) -> list[str]:
+    """The JSON text of each value, its inner lines indented two spaces past ``pad``
+    (a newline and the indent of the line the value starts on).
+
+    Values of one exact type are encoded as a column. Dicts with the same keys in
+    the same order are encoded key by key, each row filled from one template, and
+    lists are encoded as one column of all their items. Anything else goes one
+    value at a time, by the rules of ``json.dumps``.
+    """
+    kinds = set(map(type, values))
+    # Mixed values fall through to the one-at-a-time loop, as objects do.
+    kind = kinds.pop() if len(kinds) == 1 else object
+    if kind is float:
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v in values if not math.isfinite(v))
+            raise InvalidParameterError(_NON_FINITE + repr(bad))
+        return list(map(float.__repr__, values))
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is str:
+        return list(map(_escape, values))
+    inner = pad + "  "
+    if issubclass(kind, dict):
+        keys = tuple(values[0])
+        if all(tuple(v) == keys for v in values):
+            if not keys:
+                return ["{}"] * len(values)
+            for k in keys:
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+            fields = ("," + inner).join(_escape(k).replace("%", "%%") + ": %s" for k in keys)
+            template = "{" + inner + fields + pad + "}"
+            columns = [_texts(list(map(itemgetter(k), values)), inner) for k in keys]
+            return [template % row for row in zip(*columns)]
+    if issubclass(kind, (list, tuple)):
+        items = _texts([item for v in values for item in v], inner)
+        out, start, sep = [], 0, "," + inner
+        for v in values:
+            end = start + len(v)
+            out.append("[" + inner + sep.join(items[start:end]) + pad + "]" if v else "[]")
+            start = end
+        return out
+    out = []
+    for v in values:
+        if isinstance(v, str):
+            out.append(_escape(v))
+        elif v is None:
+            out.append("null")
+        elif v is True:
+            out.append("true")
+        elif v is False:
+            out.append("false")
+        elif isinstance(v, int):
+            out.append(int.__repr__(v))
+        elif isinstance(v, float):
+            if not math.isfinite(v):
+                raise InvalidParameterError(_NON_FINITE + repr(v))
+            out.append(float.__repr__(v))
+        elif isinstance(v, (dict, list, tuple)):
+            out.extend(_texts([v], pad))
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    return out
 
 
 def write_files(

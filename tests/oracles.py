@@ -5,14 +5,15 @@ from the package (string bit fiddling, Counter bookkeeping, per-assignment
 loops, direct summation), so agreement between the two routes actually
 means something. The exceptions are :func:`ref_validating_step`, the
 package's former fold step, :func:`ref_success_trajectory`, the former
-state-per-row trajectory loop, and :func:`ref_compare_with_class_weights`,
-the dense oracle's former from-scratch loop, each kept as the oracle of the
-code that replaced it.
+state-per-row trajectory loop, :func:`ref_compare_with_class_weights`,
+the dense oracle's former from-scratch loop, and :func:`ref_json_text`, the
+former report writer, each kept as the oracle of the code that replaced it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -220,6 +221,13 @@ def ref_compare_with_class_weights(
                 worst_d = max(worst_d, float(np.max(np.abs(dist_dense - per_x))))
                 cases += 1
     return OracleComparison(cases, worst_p, worst_d)
+
+
+def ref_json_text(doc) -> str:
+    """A JSON report's text as the package wrote it before its columnar writer:
+    the standard library's indented, strict encoder."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
 
 def ref_tail_mass(thetas, counts, theta: float, atol: float = 1e-12) -> float:
     support = sum(int(c) for c in counts)

@@ -18,12 +18,12 @@ from pathlib import Path
 import pytest
 
 import phaseamp
-from phaseamp import cli, errors, experiments, graphs, meta
+from phaseamp import amplifier, cli, errors, experiments, graphs, meta
 from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
 from phaseamp.errors import LIMITS, InvalidParameterError
 from phaseamp.graphs import format_graph_file, make_line
 
-from .oracles import ref_compare_with_class_weights, ref_objective
+from .oracles import ref_compare_with_class_weights, ref_json_text, ref_objective
 
 
 # One line for every run length too large for float arithmetic.
@@ -1174,6 +1174,65 @@ class TestRejectedInput:
         assert taken.read_text() == "keep\n"
 
 
+class TestJsonWriter:
+    """Every verb's JSON report is what the standard library's encoder prints."""
+
+    ARGVS = {
+        "hist": ("hist", "--graph", "grid:4x4", "--out", "out"),
+        "hist-uniform": ("hist", "--uniform", "300"),
+        "amplify-sample-dp": ("amplify", "--graph", "grid:4x5", "--successes", "5", "--sample", "400"),
+        "amplify-sample-enum": (
+            "amplify", "--graph", "grid:3x3", "--successes", "5", "--sample", "400", "--out", "out"
+        ),
+        "amplify-underflow": ("amplify", "--graph", "starring:5", "--sequence", "10" * 700),
+        "figures-all": ("figures", "--experiment", "all", "--out", "out"),
+        "figures-custom": (
+            "figures", "--experiment", "custom", "--graphs", "line:14,grid:3x4", "--m-max", "1500",
+            "--format", "csv,json", "--out", "out",
+        ),
+        "grid-table": ("grid-table", "--out", "out"),
+        "verify-oracle": ("verify-oracle", "--sets", "5", "--max-seq", "4"),
+        "twopeak": (
+            "twopeak", "--q-u", "1/8", "--a-l", "1/8", "--a-u", "2", "--measurements", "20",
+            "--target-ratio", "100",
+        ),
+        "bounds": ("bounds", "--p-run", "0.01", "--m", "10", "--theta-ref", "2pi/3", "--p01", "0.2"),
+        "uniform-asymptotics": ("uniform-asymptotics", "--m", "30", "--theta", "pi/2"),
+        "graph-optima": ("graph", "grid:3x4", "--optima"),
+    }
+
+    @pytest.mark.parametrize("name", ARGVS)
+    def test_report_is_the_stdlib_encoders_text(self, capsys, tmp_path, monkeypatch, name):
+        docs = []
+        writer = experiments.json_text
+
+        def recorded(doc):
+            docs.append(doc)
+            return writer(doc)
+
+        monkeypatch.setattr(experiments, "json_text", recorded)
+        monkeypatch.setattr(cli, "json_text", recorded)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *self.ARGVS[name])
+        assert code == 0, err
+        texts = [writer(doc) for doc in docs]
+        assert texts == [ref_json_text(doc) for doc in docs]
+        assert out == texts[-1]
+        files = [p.read_text() for p in sorted(tmp_path.glob("out/*.json"))]
+        assert set(files) <= set(texts)
+        if name.startswith("figures"):
+            # One document per file, then the list of files on stdout.
+            assert len(texts) == len(files) + 1
+        if name == "amplify-underflow":
+            assert '"probability": null' in out
+        if name == "figures-custom":
+            assert len(files) == 2 and all(len(text) > 300_000 for text in files)
+
+    def test_sampling_reports_cover_both_routes(self):
+        assert amplifier.sampling_route(graphs.parse_graph_spec("grid:4x5")) is not None
+        assert amplifier.sampling_route(graphs.parse_graph_spec("grid:3x3")) is None
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1202,8 +1261,10 @@ class TestTopLevel:
         assert all(issubclass(cls, errors.PhaseAmpError) for cls in defined.values())
 
     def test_src_raises_only_the_exit_code_classes(self):
-        # Every raise in the package names one of the three classes, or re-raises;
-        # argparse's own error type is the one exception, raised while parsing.
+        # Every raise in the package names one of the three classes, or re-raises.
+        # argparse's own error type is raised while parsing, and the JSON writer
+        # raises json.dumps's TypeError for a value or key a report cannot hold:
+        # a fault of the program, not of its input, so it has no exit code.
         allowed = {"InvalidParameterError", "ResourceLimitError", "ImpossibleOutcomeError"}
         others = set()
         for path in sorted(Path(phaseamp.__file__).parent.glob("*.py")):
@@ -1214,7 +1275,10 @@ class TestTopLevel:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     if ast.unparse(exc) not in allowed:
                         others.add((path.name, getattr(top, "name", None), ast.unparse(exc)))
-        assert others == {("cli.py", "_add_format", "argparse.ArgumentTypeError")}
+        assert others == {
+            ("cli.py", "_add_format", "argparse.ArgumentTypeError"),
+            ("experiments.py", "_texts", "TypeError"),
+        }
 
     def test_verb_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import math
@@ -10,6 +11,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phaseamp.amplifier import MeasurementSequence, run_sequence, success_run
 from phaseamp.encoding import build_histogram
@@ -27,6 +30,8 @@ from phaseamp.experiments import (
 )
 from phaseamp.graphs import ObjectiveKind, make_line, parse_graph_spec
 from phaseamp.meta import SCHEMA_VERSION
+
+from .oracles import ref_json_text
 
 
 def reports_of(experiment: str, *graph_specs: str, **settings):
@@ -410,6 +415,58 @@ class TestRunExperiment:
         assert first == second
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# Keys and strings with non-ASCII, quotes, newlines and the writer's template
+# character %; floats include numpy's float64, ints an IntEnum.
+_TEXT_CHARS = 'ab%s"\n\\é\u2603\x00'
+_KEYS = st.text(_TEXT_CHARS, max_size=3)
+_SCALAR_KINDS = (
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(),
+    st.sampled_from(_Level),
+    st.booleans(),
+    st.none(),
+    st.text(_TEXT_CHARS, max_size=6),
+    st.text(max_size=3),
+)
+_SCALARS = st.one_of(_SCALAR_KINDS)
+
+
+@st.composite
+def _tables(draw, values):
+    """Rows with the same keys in the same order, each with a nested dict of the
+    same keys too (as a trajectory's ``tail``); one row may hold its keys in
+    another order."""
+    keys = draw(st.lists(_KEYS, unique=True, max_size=3))
+    inner = draw(st.lists(_KEYS, unique=True, max_size=3))
+    rows = [
+        {**{k: draw(values) for k in keys}, "%nested": {k: draw(values) for k in inner}}
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = dict(reversed(rows[i].items()))
+    return rows
+
+
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.sampled_from(_SCALAR_KINDS).flatmap(lambda kind: st.lists(kind, max_size=6)),
+        st.builds(dict, st.lists(st.tuples(_KEYS, children), max_size=4)),
+        _tables(children),
+    ),
+    max_leaves=30,
+)
+
+
 class TestReportOutput:
     def test_slug(self):
         assert slug("grid:4x4") == "grid_4x4"
@@ -418,8 +475,43 @@ class TestReportOutput:
     def test_json_text_is_strict(self):
         assert json_text({"a": 1.5, "b": [1]}) == '{\n  "a": 1.5,\n  "b": [\n    1\n  ]\n}\n'
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                json_text({"a": bad})
+            for doc in (
+                {"a": bad},
+                {"a": [0.5, 1.5, bad, 2.5]},
+                {"a": [{"x": 0.5, "y": {"z": 1.0}}, {"x": 1.5, "y": {"z": bad}}]},
+                {"a": [1, "s", None, bad]},
+            ):
+                with pytest.raises(ValueError) as ours:
+                    json_text(doc)
+                with pytest.raises(ValueError) as stdlib:
+                    ref_json_text(doc)
+                assert str(ours.value) == str(stdlib.value)
+        for bad in ({1.5}, np.zeros(2), object()):
+            for doc in ({"a": bad}, {"a": [1.5, bad]}, {"a": [{"x": bad}, {"x": bad}]}):
+                with pytest.raises(TypeError) as ours:
+                    json_text(doc)
+                with pytest.raises(TypeError) as stdlib:
+                    ref_json_text(doc)
+                assert str(ours.value) == str(stdlib.value)
+
+    def test_json_text_takes_str_keys_only(self):
+        # Every report key is a str. json.dumps would print an int key as a string.
+        assert ref_json_text({1: 2}) == '{\n  "1": 2\n}\n'
+        for key in (1, 1.5, True, None, ("a",)):
+            for doc in ({key: 2}, {"a": [{key: 1}, {key: 2}]}):
+                with pytest.raises(TypeError, match="keys must be str"):
+                    json_text(doc)
+
+    @given(st.builds(dict, st.lists(st.tuples(_KEYS, _TREES), max_size=4)))
+    @example({"a": [], "b": {}, "c": [[], {}, [{}], [[]]]})
+    @example({"rows": [{"m": 0, "tail": {"x": 0.5}}, {"m": 1, "tail": {"x": 0.25}}]})
+    @example({"rows": [{"a": 1, "b": 2.5}, {"b": 2.5, "a": 1}, {"a": 1}]})
+    @example({"a": [1, True], "b": [True, False, None], "c": [0.5, 1]})
+    @example({"a": [np.float64(0.1), np.float64(-0.0), _Level.HIGH, 1e300, 10**30]})
+    @example({"é%s\n\"": ["é", '"', "\n", "%s %d %%", "\u2603", "\x00"]})
+    @settings(max_examples=300, deadline=None)
+    def test_json_text_prints_the_stdlib_bytes(self, doc):
+        assert json_text(doc) == ref_json_text(doc)
 
     def test_write_files_renders_only_selected_formats(self, tmp_path):
         rendered = []
