@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -209,11 +209,13 @@ def step(state: ClassState, outcome: int) -> tuple[ClassState, float]:
     return ClassState._after_step(h, weights, log_p), p
 
 
-def fold(
-    h: PhaseHistogram,
-    outcomes: Sequence[int],
-    observe: Callable[[np.ndarray, list[float], list[float]], None] | None = None,
-) -> tuple[np.ndarray, float]:
+def _block_rows(n_rows: int, width: int) -> int:
+    """Rows of a block of ``width`` floats per row: at most ``_BLOCK_ROWS`` rows
+    and ``_BLOCK_FLOATS`` floats, at least one row, no more than ``n_rows``."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // width, n_rows))
+
+
+def fold(h: PhaseHistogram, outcomes: Sequence[int]) -> tuple[np.ndarray, float]:
     """Condition the uniform state on each outcome in turn, as :func:`step` does.
 
     Returns the final weights (a fresh read-only array) and the log
@@ -221,34 +223,27 @@ def fold(
     successive states are written into one buffer of fixed size, a block.
     Each block's weight sums and running logs are checked at once, as each
     state's would be; when a step is impossible, the rows before it are
-    checked first, so the earliest step's error is the one raised. Then
-    ``observe(rows, ps, logs)``, when given, sees the block: a row of
-    weights per state, the initial state first, with the branch
-    probability of the step to it (1.0 for the initial state) and its
-    running log probability. The rows are overwritten by the next block.
+    checked first, so the earliest step's error is the one raised.
     """
     if not set(outcomes) <= {0, 1}:
         raise InvalidParameterError("outcome must be 0 or 1")
     condition = _condition
     weights, log_p = initial_state(h).weights, 0.0
     n_states = len(outcomes) + 1
-    block = max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // h.n_levels, n_states))
+    block = _block_rows(n_states, h.n_levels)
     rows = np.empty((block, h.n_levels))
     rows[0] = weights
     for first in range(0, n_states, block):
         # The block holds states first, first + 1, ...; state s follows outcome s - 1.
-        ps, logs = ([1.0], [0.0]) if first == 0 else ([], [])
+        logs = [0.0] if first == 0 else []
         try:
             for outcome in outcomes[max(first - 1, 0) : first + block - 1]:
-                weights, p, log_p = condition(h, weights, log_p, outcome, rows[len(ps)])
-                ps.append(p)
+                weights, _, log_p = condition(h, weights, log_p, outcome, rows[len(logs)])
                 logs.append(log_p)
         except ImpossibleOutcomeError:
-            _check_rows(rows[: len(ps)], logs)
+            _check_rows(rows[: len(logs)], logs)
             raise
-        _check_rows(rows[: len(ps)], logs)
-        if observe is not None:
-            observe(rows[: len(ps)], ps, logs)
+        _check_rows(rows[: len(logs)], logs)
     weights = weights.copy()
     weights.flags.writeable = False
     return weights, log_p

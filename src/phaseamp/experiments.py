@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .amplifier import fold
+from .amplifier import _block_rows, _condition, initial_state
 from .encoding import PhaseHistogram, build_histogram
 from .errors import InvalidParameterError, check_limit
 from .graphs import ObjectiveKind, parse_graph_spec
@@ -44,40 +44,38 @@ def _fnum(v: float | None) -> str:
     return "" if v is None else format(float(v), ".12g")
 
 
-class IterationRecord(NamedTuple):
-    """One row of a success trajectory.
+# A trajectory's CSV row, and the row whose P_sequence underflowed to an empty
+# cell; "%.12g" prints what _fnum prints.
+_CSV_ROW = "%d,%.12g,%.12g,%.12g"
+_CSV_ROW_UNDERFLOWED = "%d,%.12g,,%.12g"
 
-    ``p_individual`` is the branch probability of the m-th success (1.0 on
-    the m = 0 row), ``p_sequence`` the cumulative probability of the all-ones
-    record so far (positive, since the fold refuses an impossible record),
-    ``p_optimal_conditional`` the conditional weight of the top populated
-    level. The two tails are conditional masses at angles at least pi/2,
-    respectively at least 3*pi/4.
-    """
 
-    m: int
-    p_individual: float
-    p_sequence: float
-    p_optimal_conditional: float
-    tail_ge_half_pi: float
-    tail_ge_three_quarter_pi: float
+class Table:
+    """Rows with the same keys, given key by key: :func:`json_text` prints it as
+    the list of the rows ``{k: columns[k][i] for k in columns}``. A column that
+    is itself a table prints as each row's nested object; the columns must be of
+    one length."""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "p_individual": self.p_individual,
-            "P_sequence": report_probability(self.p_sequence, True),
-            "p_optimal_conditional": self.p_optimal_conditional,
-            "tail": {
-                "ge_half_pi": self.tail_ge_half_pi,
-                "ge_three_quarter_pi": self.tail_ge_three_quarter_pi,
-            },
-        }
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Mapping[str, Sequence | Table]) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Success trajectory on one graph, its provenance, and its final level weights."""
+    """Success trajectory on one graph, its provenance, and its final level weights.
+
+    The rows m = 0, 1, ... are held as columns. ``p_individual`` is the branch
+    probability of the m-th success (1.0 on row 0), ``p_sequence`` the
+    probability of the all-ones record of length m (0.0 where it underflowed),
+    ``p_optimal_conditional`` the conditional weight of the top populated
+    level. The two tails are conditional masses at angles at least pi/2,
+    respectively at least 3*pi/4.
+    """
 
     label: str
     objective: str
@@ -85,15 +83,45 @@ class RunReport:
     n_edges: int
     support: int
     optimal_level: int
-    records: tuple[IterationRecord, ...]
+    p_individual: tuple[float, ...]
+    p_sequence: tuple[float, ...]
+    p_optimal_conditional: tuple[float, ...]
+    tail_ge_half_pi: tuple[float, ...]
+    tail_ge_three_quarter_pi: tuple[float, ...]
     weights: np.ndarray = field(compare=False, repr=False)
 
+    @property
+    def records(self) -> Table:
+        """The rows as JSON prints them; the table's length is the row count."""
+        p_sequence = self.p_sequence
+        if not all(p_sequence):
+            p_sequence = [report_probability(p, True) for p in p_sequence]
+        return Table(
+            {
+                "m": range(len(self.p_individual)),
+                "p_individual": self.p_individual,
+                "P_sequence": p_sequence,
+                "p_optimal_conditional": self.p_optimal_conditional,
+                "tail": Table(
+                    {
+                        "ge_half_pi": self.tail_ge_half_pi,
+                        "ge_three_quarter_pi": self.tail_ge_three_quarter_pi,
+                    }
+                ),
+            }
+        )
+
     def to_csv(self) -> str:
+        rows = zip(
+            range(len(self.p_individual)),
+            self.p_individual,
+            self.p_sequence,
+            self.p_optimal_conditional,
+        )
         lines = [_CSV_HEADER]
         lines.extend(
-            f"{r.m},{_fnum(r.p_individual)},{_fnum(report_probability(r.p_sequence, True))},"
-            f"{_fnum(r.p_optimal_conditional)}"
-            for r in self.records
+            _CSV_ROW % row if row[2] else _CSV_ROW_UNDERFLOWED % (row[0], row[1], row[3])
+            for row in rows
         )
         return "\n".join(lines) + "\n"
 
@@ -107,7 +135,7 @@ class RunReport:
             "n_edges": self.n_edges,
             "support": self.support,
             "optimal_level": self.optimal_level,
-            "records": [r.to_json_dict() for r in self.records],
+            "records": self.records,
         }
 
 
@@ -118,28 +146,59 @@ def success_trajectory(
     objective: str = "maxcut",
     n_vertices: int = 0,
 ) -> RunReport:
-    """Iterate all-ones measurements, recording one row per count."""
+    """The rows of all-ones records of length m = 0 ... m_max, from the closed form.
+
+    After m successes, occupied level k holds the weight g_k a_k^m / (N P_m),
+    with a_k its factor of outcome 1 and P_m = sum_k g_k a_k^m / N the run
+    probability. A block of rows is one matrix of logs
+    L[m, k] = log(g_k / N) + m log a_k, bounded as the fold's block is; a
+    log-sum-exp over each row gives log P_m and the weights, and the branch
+    probability of the m-th success is sum_k w_{m-1, k} a_k. Row 0 is the
+    initial state exactly. A record the fold would refuse at its first step
+    raises the fold's error.
+    """
     if m_max < 0:
         raise InvalidParameterError("iteration range must be nonnegative")
-    optimal_level = int(np.max(np.nonzero(h.counts)[0]))
+    w0 = initial_state(h).weights
+    occupied = np.flatnonzero(h.counts)
+    optimal_level = int(occupied[-1])
     half, three_quarters = h.tail_start(math.pi / 2), h.tail_start(3 * math.pi / 4)
-    records: list[IterationRecord] = []
-
-    def observe(rows: np.ndarray, ps: list[float], logs: list[float]) -> None:
-        # The tails are slices, so each row sum adds as a 1-d sum of that row does.
-        records.extend(
-            map(
-                IterationRecord,
-                range(len(records), len(records) + len(ps)),
-                ps,
-                map(math.exp, logs),
-                rows[:, optimal_level].tolist(),
-                rows[:, half:].sum(axis=1).tolist(),
-                rows[:, three_quarters:].sum(axis=1).tolist(),
-            )
-        )
-
-    weights, _ = fold(h, (1,) * m_max, observe)
+    p_individual, p_sequence = [1.0], [1.0]
+    p_optimal = [float(w0[optimal_level])]
+    tail_half, tail_three_quarters = [float(w0[half:].sum())], [float(w0[three_quarters:].sum())]
+    weights = w0
+    if m_max:
+        # The fold's first step, for its refusal of an impossible record.
+        _condition(h, w0, 0.0, 1, None)
+        a = h.branch_factors[1][occupied]
+        # log 0 is -inf, so a level with a = 0 holds no weight after a success.
+        log_a = np.log(a, out=np.full(a.shape, -math.inf), where=a > 0)
+        log_w0 = np.log(w0[occupied])
+        half, three_quarters = np.searchsorted(occupied, (half, three_quarters))
+        block = _block_rows(m_max, occupied.size)
+        # Row 0 of the buffer holds the weights of the row before the block.
+        buffer = np.empty((block + 1, occupied.size))
+        buffer[0] = w0[occupied]
+        products = np.empty((block, occupied.size))
+        for first in range(1, m_max + 1, block):
+            n = min(block, m_max + 1 - first)
+            rows = buffer[1 : n + 1]
+            np.multiply.outer(np.arange(first, first + n), log_a, out=rows)
+            rows += log_w0
+            top = rows.max(axis=1)
+            rows -= top[:, None]
+            np.exp(rows, out=rows)
+            sums = rows.sum(axis=1)
+            rows /= sums[:, None]
+            p_individual += np.multiply(buffer[:n], a, out=products[:n]).sum(axis=1).tolist()
+            p_sequence += np.exp(top + np.log(sums)).tolist()
+            p_optimal += rows[:, -1].tolist()
+            tail_half += rows[:, half:].sum(axis=1).tolist()
+            tail_three_quarters += rows[:, three_quarters:].sum(axis=1).tolist()
+            buffer[0] = buffer[n]
+        weights = np.zeros(h.n_levels)
+        weights[occupied] = buffer[0]
+        weights.flags.writeable = False
     return RunReport(
         label,
         objective,
@@ -147,7 +206,11 @@ def success_trajectory(
         h.denominator if h.denominator is not None else 0,
         h.support,
         optimal_level,
-        tuple(records),
+        tuple(p_individual),
+        tuple(p_sequence),
+        tuple(p_optimal),
+        tuple(tail_half),
+        tuple(tail_three_quarters),
         weights,
     )
 
@@ -285,11 +348,9 @@ def _amplified(products: _Products, specs: Sequence[str], config: ExperimentConf
 def _grid_table(products: _Products, specs: Sequence[str], config: ExperimentConfig):
     """Initial and amplified optimal hit rates: rows 0 and m of the trajectory."""
     (spec,), m = specs, config.successes
-    records = products.trajectory(spec, m).records
-    first, last = records[0], records[-1]
-    return GridTableReport(
-        spec, m, first.p_optimal_conditional, last.p_optimal_conditional, last.p_sequence
-    )
+    run = products.trajectory(spec, m)
+    optimal = run.p_optimal_conditional
+    return GridTableReport(spec, m, optimal[0], optimal[-1], run.p_sequence[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +555,8 @@ def slug(label: str) -> str:
 
 def json_text(doc: dict) -> str:
     """The text of every JSON report: the bytes of ``json.dumps(doc, indent=2,
-    allow_nan=False)`` and a newline.
+    allow_nan=False)`` and a newline, where each :class:`Table` is given as its
+    list of row dicts.
 
     It is strict: NaN and infinities raise ``InvalidParameterError`` (a
     ``ValueError``) with json.dumps's message; a value JSON cannot hold and a key
@@ -507,14 +569,14 @@ _escape = json.encoder.encode_basestring_ascii
 _NON_FINITE = "Out of range float values are not JSON compliant: "
 
 
-def _texts(values: list, pad: str) -> list[str]:
+def _texts(values: Sequence, pad: str) -> list[str]:
     """The JSON text of each value, its inner lines indented two spaces past ``pad``
     (a newline and the indent of the line the value starts on).
 
     Values of one exact type are encoded as a column. Dicts with the same keys in
-    the same order are encoded key by key, each row filled from one template, and
-    lists are encoded as one column of all their items. Anything else goes one
-    value at a time, by the rules of ``json.dumps``.
+    the same order are encoded as a table, key by key, and lists as one column of
+    all their items. Anything else goes one value at a time, by the rules of
+    ``json.dumps``.
     """
     kinds = set(map(type, values))
     # Mixed values fall through to the one-at-a-time loop, as objects do.
@@ -534,20 +596,15 @@ def _texts(values: list, pad: str) -> list[str]:
         if all(tuple(v) == keys for v in values):
             if not keys:
                 return ["{}"] * len(values)
-            for k in keys:
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-            fields = ("," + inner).join(_escape(k).replace("%", "%%") + ": %s" for k in keys)
-            template = "{" + inner + fields + pad + "}"
-            columns = [_texts(list(map(itemgetter(k), values)), inner) for k in keys]
-            return [template % row for row in zip(*columns)]
+            return _rows({k: list(map(itemgetter(k), values)) for k in keys}, pad)
+    if kind is Table:
+        return [_bracketed(_rows(t.columns, inner), pad) for t in values]
     if issubclass(kind, (list, tuple)):
         items = _texts([item for v in values for item in v], inner)
-        out, start, sep = [], 0, "," + inner
+        out, start = [], 0
         for v in values:
-            end = start + len(v)
-            out.append("[" + inner + sep.join(items[start:end]) + pad + "]" if v else "[]")
-            start = end
+            out.append(_bracketed(items[start : start + len(v)], pad))
+            start += len(v)
         return out
     out = []
     for v in values:
@@ -565,11 +622,33 @@ def _texts(values: list, pad: str) -> list[str]:
             if not math.isfinite(v):
                 raise InvalidParameterError(_NON_FINITE + repr(v))
             out.append(float.__repr__(v))
-        elif isinstance(v, (dict, list, tuple)):
+        elif isinstance(v, (dict, list, tuple, Table)):
             out.extend(_texts([v], pad))
         else:
             raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
     return out
+
+
+def _rows(columns: Mapping[str, Sequence | Table], pad: str) -> list[str]:
+    """The text of each row of a table given key by key, as ``_texts`` gives a
+    dict's: every row is filled from one template, the values column by column."""
+    inner = pad + "  "
+    for k in columns:
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+    fields = ("," + inner).join(_escape(k).replace("%", "%%") + ": %s" for k in columns)
+    template = "{" + inner + fields + pad + "}"
+    texts = [
+        _rows(c.columns, inner) if type(c) is Table else _texts(c, inner)
+        for c in columns.values()
+    ]
+    return [template % row for row in zip(*texts, strict=True)]
+
+
+def _bracketed(items: list[str], pad: str) -> str:
+    """The text of a list whose items' texts are given, at ``pad``."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
 def write_files(
@@ -613,8 +692,8 @@ def _trajectory_files(y_field: str, ylabel: str, exp: str, reports: Mapping[str,
         series = tuple(
             Series(
                 label,
-                tuple(float(r.m) for r in report.records),
-                tuple(float(getattr(r, y_field)) for r in report.records),
+                tuple(map(float, range(len(report.p_individual)))),
+                getattr(report, y_field),
             )
             for label, report in reports.items()
         )
@@ -740,7 +819,7 @@ def build_reports(config: ExperimentConfig) -> dict[str, object]:
     """Every report the config selects, by experiment id, in table order.
 
     Within the call each graph's histogram is built once and each (graph,
-    length) trajectory folded once; nothing is kept between calls, so a graph
+    length) trajectory computed once; nothing is kept between calls, so a graph
     file is read again on the next one.
     """
     products = _Products()

@@ -5,9 +5,11 @@ from the package (string bit fiddling, Counter bookkeeping, per-assignment
 loops, direct summation), so agreement between the two routes actually
 means something. The exceptions are :func:`ref_validating_step`, the
 package's former fold step, :func:`ref_success_trajectory`, the former
-state-per-row trajectory loop, :func:`ref_compare_with_class_weights`,
-the dense oracle's former from-scratch loop, and :func:`ref_json_text`, the
-former report writer, each kept as the oracle of the code that replaced it.
+state-per-row trajectory loop, with its :class:`IterationRecord` rows and
+:func:`ref_trajectory_csv`, their CSV writer,
+:func:`ref_compare_with_class_weights`, the dense oracle's former
+from-scratch loop, and :func:`ref_json_text`, the former report writer,
+each kept as the oracle of the code that replaced it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from phaseamp.amplifier import (
 )
 from phaseamp.encoding import ANGLE_ATOL, PhaseHistogram, histogram_from_phases
 from phaseamp.errors import ImpossibleOutcomeError
-from phaseamp.experiments import IterationRecord, RunReport
+from phaseamp.experiments import RunReport, Table, report_probability
 from phaseamp.fullsim import OracleComparison, run_sequence_fullsim
 
 
@@ -162,6 +165,74 @@ def ref_validating_condition(h: PhaseHistogram, weights, log_p: float, outcome: 
     return out, p, new.log_sequence_probability
 
 
+class IterationRecord(NamedTuple):
+    """One row of a success trajectory, as the package held it before its
+    trajectories became columns."""
+
+    m: int
+    p_individual: float
+    p_sequence: float
+    p_optimal_conditional: float
+    tail_ge_half_pi: float
+    tail_ge_three_quarter_pi: float
+
+    def to_json_dict(self) -> dict:
+        return {
+            "m": self.m,
+            "p_individual": self.p_individual,
+            "P_sequence": report_probability(self.p_sequence, True),
+            "p_optimal_conditional": self.p_optimal_conditional,
+            "tail": {
+                "ge_half_pi": self.tail_ge_half_pi,
+                "ge_three_quarter_pi": self.tail_ge_three_quarter_pi,
+            },
+        }
+
+
+def ref_records(report: RunReport) -> list[IterationRecord]:
+    """A trajectory's rows, one record per m."""
+    return [
+        IterationRecord(m, *row)
+        for m, row in enumerate(
+            zip(
+                report.p_individual,
+                report.p_sequence,
+                report.p_optimal_conditional,
+                report.tail_ge_half_pi,
+                report.tail_ge_three_quarter_pi,
+            )
+        )
+    ]
+
+
+def ref_trajectory_csv(report: RunReport) -> str:
+    """A trajectory's CSV as the package wrote it before its columnar writer:
+    each value formatted on its own."""
+
+    def fnum(v):
+        return "" if v is None else format(float(v), ".12g")
+
+    lines = ["m,p_individual,P_sequence,p_optimal_conditional"]
+    lines.extend(
+        f"{r.m},{fnum(r.p_individual)},{fnum(report_probability(r.p_sequence, True))},"
+        f"{fnum(r.p_optimal_conditional)}"
+        for r in ref_records(report)
+    )
+    return "\n".join(lines) + "\n"
+
+
+def ref_dict_rows(value):
+    """A document with each ``Table`` given as its list of row dicts."""
+    if isinstance(value, Table):
+        columns = {k: ref_dict_rows(c) for k, c in value.columns.items()}
+        return [{k: c[i] for k, c in columns.items()} for i in range(len(value))]
+    if isinstance(value, dict):
+        return {k: ref_dict_rows(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(ref_dict_rows(v) for v in value)
+    return value
+
+
 def ref_success_trajectory(h: PhaseHistogram, m_max: int) -> RunReport:
     """The success trajectory as the package built it before its fold kernel:
     a state per row through ``step``, each tail summed over a boolean mask."""
@@ -184,6 +255,7 @@ def ref_success_trajectory(h: PhaseHistogram, m_max: int) -> RunReport:
                 float(w[three_quarters].sum()),
             )
         )
+    _, *columns = zip(*records)
     return RunReport(
         "",
         "maxcut",
@@ -191,10 +263,9 @@ def ref_success_trajectory(h: PhaseHistogram, m_max: int) -> RunReport:
         h.denominator if h.denominator is not None else 0,
         h.support,
         optimal_level,
-        tuple(records),
+        *columns,
         state.weights,
     )
-
 
 
 def ref_compare_with_class_weights(

@@ -269,7 +269,7 @@ def test_criterion_11_grid_mode_shift():
 def test_criterion_12_line10_conditional_optimal_growth():
     h = build_histogram(parse_graph_spec("line:10"), ObjectiveKind.MAXCUT)
     report = success_trajectory(h, 240, label="line:10")
-    values = [r.p_optimal_conditional for r in report.records]
+    values = report.p_optimal_conditional
     nondecreasing = all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
     crossing = next((m for m, v in enumerate(values) if v >= 0.99), None)
     ok = nondecreasing and crossing is not None and crossing <= 200

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import phaseamp.cli  # noqa: F401  (loads every module the tracer patches)
+from phaseamp.encoding import uniform_histogram
+from phaseamp.experiments import success_trajectory
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -65,3 +67,15 @@ def test_tracer_wraps_every_target_and_restores_it():
     after = _references()
     changed = [key for key, value in before.items() if after.get(key) is not value]
     assert changed == []
+
+
+def test_trajectory_rows_are_counted():
+    # The tracer counts a trajectory's rows as the length of its records.
+    counters = {
+        (module_name, attr): counter for module_name, attr, counter in _load_tracing().TARGETS
+    }
+    count = counters["experiments", "success_trajectory"]
+    h = uniform_histogram(12)
+    for m_max in (0, 1, 1500):
+        args = (h, m_max)
+        assert count(args, success_trajectory(*args)) == {"rows": m_max + 1}

@@ -23,7 +23,7 @@ from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
 from phaseamp.errors import LIMITS, InvalidParameterError
 from phaseamp.graphs import format_graph_file, make_line
 
-from .oracles import ref_compare_with_class_weights, ref_json_text, ref_objective
+from .oracles import ref_compare_with_class_weights, ref_dict_rows, ref_json_text, ref_objective
 
 
 # One line for every run length too large for float arithmetic.
@@ -498,7 +498,9 @@ class TestFiguresVerb:
 
         The hashes were taken with Python 3.11.7 and numpy 2.4.6; another
         libm or numpy may round a last digit differently. The file hash is
-        over the 41 files concatenated in name order.
+        over the 41 files concatenated in name order. It changed once, when
+        trajectories moved from the fold to the closed form (it was
+        ba4fbe3706cf3227473dd9b93055d1cad3f6de337d45c2bec568057bdb66e4af).
         """
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "figures", "--experiment", "all", "--out", "out")
@@ -509,7 +511,23 @@ class TestFiguresVerb:
         files = sorted((tmp_path / "out").iterdir(), key=lambda p: p.name)
         assert len(files) == 41
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
-        assert digest == "ba4fbe3706cf3227473dd9b93055d1cad3f6de337d45c2bec568057bdb66e4af"
+        assert digest == "c5b126f420c5e45deda0523adcaec8bfe7fdb4ce0a698b764b2de53d7d68cc69"
+
+    def test_long_trajectories_are_byte_identical(self, capsys, tmp_path, monkeypatch):
+        """Two long trajectories print and write pinned bytes: line:14, and
+        starring:12, whose P_sequence underflows from m = 3906 on. Taken as
+        above; the file hash is over the 4 files concatenated in name order."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["--graphs", "line:14,starring:12", "--m-max", "4000", "--format", "csv,json"]
+        code, out, err = run_cli(capsys, "figures", "--experiment", "custom", *argv, "--out", "out")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6dd280f51d4f56c549248722311fa56d9ae60c605233fb76b227d50f06f33411"
+        )
+        files = sorted((tmp_path / "out").iterdir(), key=lambda p: p.name)
+        assert len(files) == 4
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+        assert digest == "ed44106accdb5452ace46d6e3d4e2c03ac5f844177706d28edc58b70f957d929"
 
     def test_all_experiments_write_order(self, capsys, tmp_path):
         doc = run_json(
@@ -1216,7 +1234,7 @@ class TestJsonWriter:
         code, out, err = run_cli(capsys, *self.ARGVS[name])
         assert code == 0, err
         texts = [writer(doc) for doc in docs]
-        assert texts == [ref_json_text(doc) for doc in docs]
+        assert texts == [ref_json_text(ref_dict_rows(doc)) for doc in docs]
         assert out == texts[-1]
         files = [p.read_text() for p in sorted(tmp_path.glob("out/*.json"))]
         assert set(files) <= set(texts)
@@ -1278,6 +1296,7 @@ class TestTopLevel:
         assert others == {
             ("cli.py", "_add_format", "argparse.ArgumentTypeError"),
             ("experiments.py", "_texts", "TypeError"),
+            ("experiments.py", "_rows", "TypeError"),
         }
 
     def test_verb_is_required(self, capsys):

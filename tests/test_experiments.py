@@ -7,19 +7,24 @@ import enum
 import io
 import json
 import math
+import re
+import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phaseamp.amplifier import MeasurementSequence, run_sequence, success_run
-from phaseamp.encoding import build_histogram
-from phaseamp.errors import InvalidParameterError, ResourceLimitError
+from phaseamp.amplifier import MeasurementSequence, fold, run_sequence, success_run
+from phaseamp.encoding import build_histogram, histogram_from_phases, uniform_histogram
+from phaseamp.errors import ImpossibleOutcomeError, InvalidParameterError, ResourceLimitError
 from phaseamp.experiments import (
     ExperimentConfig,
     Series,
+    Table,
     build_reports,
     emit_svg,
     json_text,
@@ -31,7 +36,7 @@ from phaseamp.experiments import (
 from phaseamp.graphs import ObjectiveKind, make_line, parse_graph_spec
 from phaseamp.meta import SCHEMA_VERSION
 
-from .oracles import ref_json_text
+from .oracles import ref_dict_rows, ref_json_text, ref_records, ref_trajectory_csv
 
 
 def reports_of(experiment: str, *graph_specs: str, **settings):
@@ -42,12 +47,15 @@ def reports_of(experiment: str, *graph_specs: str, **settings):
 
 class TestSuccessTrajectory:
     def test_row_zero_is_the_initial_state(self, grid44_histogram):
-        report = success_trajectory(grid44_histogram, 3, label="grid:4x4", n_vertices=16)
-        first = report.records[0]
-        assert first.m == 0
-        assert first.p_individual == 1.0
-        assert first.p_sequence == 1.0
-        assert first.p_optimal_conditional == pytest.approx(2 / (2**16 - 1))
+        h = grid44_histogram
+        report = success_trajectory(h, 3, label="grid:4x4", n_vertices=16)
+        w0 = h.counts / h.support
+        assert report.p_individual[0] == 1.0
+        assert report.p_sequence[0] == 1.0
+        assert report.p_optimal_conditional[0] == w0[24] == 2 / (2**16 - 1)
+        assert report.tail_ge_half_pi[0] == w0[h.tail_start(math.pi / 2) :].sum()
+        assert report.tail_ge_three_quarter_pi[0] == w0[h.tail_start(3 * math.pi / 4) :].sum()
+        assert len(report.records) == 4
         assert report.optimal_level == 24
         assert report.support == 2**16 - 1
         assert report.n_edges == 24
@@ -55,10 +63,9 @@ class TestSuccessTrajectory:
     def test_rows_match_fold(self, grid44_histogram):
         report = success_trajectory(grid44_histogram, 10)
         state, p = success_run(grid44_histogram, 10)
-        last = report.records[-1]
-        assert last.m == 10
-        assert last.p_sequence == pytest.approx(p, rel=1e-12)
-        assert last.p_optimal_conditional == pytest.approx(
+        assert len(report.records) == 11
+        assert report.p_sequence[-1] == pytest.approx(p, rel=1e-12)
+        assert report.p_optimal_conditional[-1] == pytest.approx(
             float(state.weights[24]), rel=1e-12
         )
 
@@ -66,15 +73,15 @@ class TestSuccessTrajectory:
         for h in benchmark_histograms.values():
             report = success_trajectory(h, 8)
             product = 1.0
-            for record in report.records[1:]:
-                product *= record.p_individual
-                assert record.p_sequence == pytest.approx(product, rel=1e-9)
+            for p_individual, p_sequence in zip(report.p_individual[1:], report.p_sequence[1:]):
+                product *= p_individual
+                assert p_sequence == pytest.approx(product, rel=1e-9)
 
     def test_tails_are_recorded(self, grid44_histogram):
         report = success_trajectory(grid44_histogram, 2)
         state, _ = success_run(grid44_histogram, 2)
         mask = grid44_histogram.thetas >= math.pi / 2 - 1e-12
-        assert report.records[2].tail_ge_half_pi == pytest.approx(
+        assert report.tail_ge_half_pi[2] == pytest.approx(
             float(state.weights[mask].sum())
         )
 
@@ -90,7 +97,7 @@ class TestSuccessTrajectory:
         report = success_trajectory(
             grid44_histogram, 1, label="grid:4x4", n_vertices=16
         )
-        doc = report.to_json_dict()
+        doc = json.loads(json_text(report.to_json_dict()))
         assert doc["schema"] == SCHEMA_VERSION
         assert doc["graph"] == "grid:4x4"
         assert doc["objective"] == "maxcut"
@@ -105,11 +112,98 @@ class TestSuccessTrajectory:
             "tail",
         }
         assert set(record["tail"]) == {"ge_half_pi", "ge_three_quarter_pi"}
-        json.dumps(doc)
+        assert record["m"] == 1 and record["p_individual"] == report.p_individual[1]
 
     def test_rejects_negative_range(self, grid44_histogram):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="^iteration range must be nonnegative$"):
             success_trajectory(grid44_histogram, -1)
+
+
+# Histograms for the exact reference: the benchmark shapes, and one whose level 0
+# (angle 0, where outcome 1 has probability 0) holds the all-zeros and all-ones
+# assignments.
+EXACT_CASES = (
+    ("grid:3x3", False),
+    ("starring:12", False),
+    ("line:14", False),
+    ("grid:4x4", False),
+    ("grid:3x3", True),
+)
+
+
+class TestClosedFormTrajectory:
+    """The trajectory's rows against exact sums, and its edge cases."""
+
+    @pytest.mark.parametrize("spec, include_zero", EXACT_CASES)
+    def test_rows_are_the_exact_sums(self, spec, include_zero):
+        # P_m = sum_k g_k a_k^m / N in exact rationals, from the same float a_k.
+        # The closed form rounds log P_m once to about an ulp of |log P_m|, so
+        # P_sequence is held to (|log P_m| + 1) ulps of 1 (0.56 of that seen).
+        # The ratios are held to 8 (|log P_m| + 1) ulps (2.5 of that seen).
+        h = build_histogram(parse_graph_spec(spec), ObjectiveKind.MAXCUT, include_zero)
+        m_max = 1800
+        report = success_trajectory(h, m_max)
+        a = [Fraction(float(x)) for x in h.branch_factors[1]]
+        g = [int(c) for c in h.counts]
+        half, three_quarters = h.tail_start(math.pi / 2), h.tail_start(3 * math.pi / 4)
+        top = max(k for k in range(len(g)) if g[k])
+
+        def moment(m):
+            return [g_k * a_k**m for g_k, a_k in zip(g, a)]
+
+        for m in (0, 1, 2, m_max // 2, m_max):
+            terms = moment(m)
+            total = sum(terms)
+            exact = {
+                "p_sequence": total / h.support,
+                "p_optimal_conditional": terms[top] / total,
+                "tail_ge_half_pi": sum(terms[half:]) / total,
+                "tail_ge_three_quarter_pi": sum(terms[three_quarters:]) / total,
+                "p_individual": total / sum(moment(m - 1)) if m else Fraction(1),
+            }
+            ulps = (abs(math.log(exact["p_sequence"])) + 1) * Fraction(2) ** -52
+            for name, value in exact.items():
+                ours = Fraction(getattr(report, name)[m])
+                bound = ulps if name == "p_sequence" else 8 * ulps
+                assert abs(ours - value) <= bound * value, (spec, name, m, float(value))
+        # Row 0 is the initial state: its probabilities and weights are exact.
+        assert report.p_sequence[0] == report.p_individual[0] == 1.0
+        assert report.p_optimal_conditional[0] == g[top] / h.support
+
+    def test_level_zero_holds_nothing_after_a_success_and_warns_nothing(self):
+        # Level 0 holds the all-zeros and the all-ones assignment, each of cut 0.
+        h = build_histogram(parse_graph_spec("grid:3x3"), ObjectiveKind.MAXCUT, True)
+        assert h.counts[0] == 2 and h.branch_factors[1][0] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (0, 1, 2, 50):
+                weights = success_trajectory(h, m).weights
+                assert weights[0] == (2 / h.support if m == 0 else 0.0)
+                assert np.all(weights[1:][h.counts[1:] > 0] > 0)
+
+    def test_an_impossible_record_raises_the_folds_error(self):
+        # Every assignment sits at angle 0, where outcome 1 has probability 0.
+        h = histogram_from_phases([0.0, 0.0])
+        with pytest.raises(ImpossibleOutcomeError) as folded:
+            fold(h, (1,))
+        for m_max in (1, 2, 5000):
+            with pytest.raises(ImpossibleOutcomeError, match=f"^{re.escape(str(folded.value))}$"):
+                success_trajectory(h, m_max)
+        report = success_trajectory(h, 0)
+        assert report.p_sequence == (1.0,) and report.p_optimal_conditional == (1.0,)
+
+    def test_row_blocks_bound_memory(self):
+        # 200 levels and 100001 rows: a whole matrix of rows would take 160 MB.
+        # The rows kept, five columns of Python floats at 32 B a value, take 16 MB.
+        h = uniform_histogram(200)
+        tracemalloc.start()
+        try:
+            report = success_trajectory(h, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.records) == 100_001
+        assert peak < 40e6
 
 
 class TestFigureFamilies:
@@ -123,7 +217,7 @@ class TestFigureFamilies:
     def test_fig1a_smaller_lines_amplify_faster(self):
         reports = reports_of("fig1a", m_max=60)
         finals = [
-            reports[spec].records[-1].p_optimal_conditional
+            reports[spec].p_optimal_conditional[-1]
             for spec in ("line:6", "line:8", "line:10", "line:12")
         ]
         assert finals == sorted(finals, reverse=True)
@@ -148,7 +242,7 @@ class TestFigureFamilies:
     def test_trajectory_graphs_are_size_capped(self):
         # Trajectories take the histogram's caps: line:40 is past enumeration,
         # not past the frontier DP; line:63 is past the histogram vertex cap.
-        assert reports_of("fig1a", "line:40", m_max=5)["line:40"].records[-1].m == 5
+        assert len(reports_of("fig1a", "line:40", m_max=5)["line:40"].records) == 6
         with pytest.raises(ResourceLimitError, match="capped at 62 vertices"):
             reports_of("fig1a", "line:63", m_max=5)
 
@@ -182,9 +276,13 @@ class TestFig3:
         )
 
     def test_weights_are_the_fold_after_m_successes(self, grid44_histogram):
+        # The weights come from the closed form; the fold's agree to 1e-12
+        # relative (7e-15 seen here), and the empty levels are 0 on both.
         dist = reports_of("fig3", successes=7)
         state, _ = success_run(grid44_histogram, 7)
-        assert np.array_equal(dist.scaled_weights, grid44_histogram.support * state.weights)
+        folded = grid44_histogram.support * state.weights
+        np.testing.assert_allclose(dist.scaled_weights, folded, rtol=1e-12, atol=0)
+        assert np.array_equal(dist.scaled_weights == 0, folded == 0)
 
     def test_csv_and_json(self):
         dist = reports_of("fig3", "grid:4x4", successes=1)
@@ -204,7 +302,10 @@ class TestFig3:
 
 class TestGridTable:
     def test_headline_numbers(self):
-        # Rows 0 and m of the trajectory give the values of a direct fold, bit for bit.
+        # Row 0 of the trajectory is the initial state exactly. Row m comes from
+        # the closed form: its conditional optimal probability is held to 1e-14
+        # relative of a direct fold, its run probability to (m + 2)(|log p| + 1)
+        # ulps of 1, since the fold's running log rounds once per step.
         for spec in ("grid:4x4", "grid:3x3", "line:10", "starring:8", "line:5"):
             h = build_histogram(parse_graph_spec(spec), ObjectiveKind.MAXCUT)
             top = int(np.max(np.nonzero(h.counts)[0]))
@@ -213,8 +314,13 @@ class TestGridTable:
                 state, p_run = success_run(h, m)
                 assert table.label == spec and table.m == m
                 assert table.initial_optimal_probability == float(h.counts[top] / h.support)
-                assert table.conditional_optimal_probability == float(state.weights[top])
-                assert table.run_probability == p_run
+                optimal = float(state.weights[top])
+                assert table.conditional_optimal_probability == pytest.approx(optimal, rel=1e-14)
+                rel = (m + 2) * (abs(math.log(p_run)) + 1) * 2.0**-52
+                assert table.run_probability == pytest.approx(p_run, rel=rel)
+                if m == 0:
+                    assert table.conditional_optimal_probability == optimal
+                    assert table.run_probability == p_run == 1.0
 
     def test_checks_ratios(self):
         table = reports_of("grid-table", "grid:4x4", successes=10)
@@ -454,6 +560,28 @@ def _tables(draw, values):
     return rows
 
 
+@st.composite
+def _column_tables(draw, values):
+    """Tables given key by key, as a trajectory's records: columns of one kind
+    or of mixed values (None cells among them), ``range`` columns, and nested
+    table columns of the same length; one row is as likely as any count."""
+    n = draw(st.integers(0, 4))
+    column = st.one_of(
+        st.lists(values, min_size=n, max_size=n),
+        st.sampled_from(_SCALAR_KINDS).flatmap(lambda kind: st.lists(kind, min_size=n, max_size=n)),
+        st.just(range(n)),
+    )
+
+    def table(depth):
+        keys = draw(st.lists(_KEYS, unique=True, min_size=1, max_size=3))
+        columns = {k: draw(column) for k in keys}
+        if depth and draw(st.booleans()):
+            columns["%nested"] = table(depth - 1)
+        return Table(columns)
+
+    return table(2)
+
+
 _TREES = st.recursive(
     _SCALARS,
     lambda children: st.one_of(
@@ -462,6 +590,7 @@ _TREES = st.recursive(
         st.sampled_from(_SCALAR_KINDS).flatmap(lambda kind: st.lists(kind, max_size=6)),
         st.builds(dict, st.lists(st.tuples(_KEYS, children), max_size=4)),
         _tables(children),
+        _column_tables(children),
     ),
     max_leaves=30,
 )
@@ -509,9 +638,36 @@ class TestReportOutput:
     @example({"a": [1, True], "b": [True, False, None], "c": [0.5, 1]})
     @example({"a": [np.float64(0.1), np.float64(-0.0), _Level.HIGH, 1e300, 10**30]})
     @example({"é%s\n\"": ["é", '"', "\n", "%s %d %%", "\u2603", "\x00"]})
+    @example({"t": Table({"m": range(1), "p": [None], "%s": Table({"x": [0.5]})})})
+    @example({"t": Table({"m": range(3), "p": [0.5, None, 1e-300], "q": ["a", 1, True]})})
+    @example({"t": [Table({"a": []}), Table({"b": [1.5]}), {"c": Table({"d": [[], {}]})}]})
     @settings(max_examples=300, deadline=None)
     def test_json_text_prints_the_stdlib_bytes(self, doc):
-        assert json_text(doc) == ref_json_text(doc)
+        # A table prints as the list of its row dicts would.
+        assert json_text(doc) == ref_json_text(ref_dict_rows(doc))
+
+    def test_trajectory_documents_print_the_former_rows(self):
+        # Every trajectory document of ``figures --experiment all`` and two long
+        # ones, starring:12's with P_sequence underflowed from m = 3906 on: the
+        # column table prints the bytes of the former per-row dicts, and the CSV
+        # those of the former per-value loop.
+        all_reports = build_reports(ExperimentConfig("all"))
+        custom = reports_of("custom", "line:14", "starring:12", m_max=4000)
+        assert custom["starring:12"].p_sequence[3905] > 0.0
+        assert set(custom["starring:12"].p_sequence[3906:]) == {0.0}
+        documents = [
+            (exp, report)
+            for exp in ("fig1a", "fig1b", "fig1c")
+            for report in all_reports[exp].values()
+        ] + [("custom", report) for report in custom.values()]
+        assert len(documents) == 14
+        for exp, report in documents:
+            doc = {"experiment": exp, **report.to_json_dict()}
+            rows = [record.to_json_dict() for record in ref_records(report)]
+            assert json_text(doc) == ref_json_text({**doc, "records": rows}), report.label
+            assert report.to_csv() == ref_trajectory_csv(report), report.label
+        text = json_text(custom["starring:12"].to_json_dict())
+        assert text.count('"P_sequence": null') == 95
 
     def test_write_files_renders_only_selected_formats(self, tmp_path):
         rendered = []
