@@ -173,6 +173,31 @@ def _check_rows(rows: np.ndarray, logs: list[float]) -> None:
         _check_sums(float(sums[i]), logs[i])
 
 
+def _condition_rows(
+    h: PhaseHistogram, rows: np.ndarray, logs: list[float]
+) -> tuple[np.ndarray, list[float]]:
+    """Both children of each state in ``rows``, as :func:`_condition` conditions one.
+
+    Row ``i`` conditioned on outcome 0 becomes child ``2i``, on outcome 1
+    child ``2i + 1``. Returns the children's weights, each C-ordered row
+    summed and divided as :func:`_condition` sums and divides one state,
+    and their running logs, checked by :func:`_check_rows`. The earliest
+    impossible child is refused after the children before it are checked.
+    """
+    raw = (rows[:, None, :] * np.stack(h.branch_factors)).reshape(-1, rows.shape[1])
+    p = raw.sum(axis=1)
+    impossible = ~(p > 0.0)
+    n_ok = int(impossible.argmax()) if impossible.any() else p.size
+    children = np.divide(raw[:n_ok], p[:n_ok, None], raw[:n_ok])
+    child_logs = [logs[i >> 1] + math.log(q) for i, q in enumerate(p[:n_ok].tolist())]
+    _check_rows(children, child_logs)
+    if n_ok < p.size:
+        raise ImpossibleOutcomeError(
+            f"outcome {n_ok & 1} has probability 0 given the outcomes recorded so far"
+        )
+    return children, child_logs
+
+
 def _condition(
     h: PhaseHistogram, weights: np.ndarray, log_p: float, outcome: int, out: np.ndarray | None
 ) -> tuple[np.ndarray, float, float]:

@@ -515,16 +515,18 @@ def emit_svg(
                 )
             bar_slot += 1
         else:
-            points = " ".join(f"{_svgnum(sx(xv))},{_svgnum(sy(yv))}" for xv, yv in zip(s.xs, s.ys))
+            # Each point's text, formatted once for the polyline and its circle.
+            cxs = [_svgnum(sx(xv)) for xv in s.xs]
+            cys = [_svgnum(sy(yv)) for yv in s.ys]
+            points = " ".join(f"{cx},{cy}" for cx, cy in zip(cxs, cys))
             parts.append(
                 f'<polyline class="line-{idx}" points="{points}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
-            for xv, yv in zip(s.xs, s.ys):
-                parts.append(
-                    f'<circle class="pt-{idx}" cx="{_svgnum(sx(xv))}" cy="{_svgnum(sy(yv))}" '
-                    f'r="2.5" fill="{color}"/>'
-                )
+            parts.extend(
+                f'<circle class="pt-{idx}" cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>'
+                for cx, cy in zip(cxs, cys)
+            )
     if len(series) > 1:
         lx = left + plot_w - 150
         for idx, s in enumerate(series):

@@ -23,23 +23,26 @@ level, so agreement between the two is a real check. It calls the fold only
 to compare against it, never to compute a dense amplitude.
 
 :func:`compare_with_class_weights` walks the sequences as a prefix tree, one
-layer per length: each prefix keeps its dense state, its running dense log
-probability and its fold state, and one interference round followed by both
-measurement outcomes gives its two children. A phase set with sequences of
-length up to L therefore costs 2^(L+1) - 2 measurements, not a replay of
-every prefix inside each longer sequence, and each case gets the same float
-operations as a from-scratch run of that sequence.
+layer per length, with every prefix of a length held as a row of one array:
+a ``(P, 2N)`` array of dense states, a ``(P, K)`` array of fold weights and
+a running log probability per row on each route. One interference round on
+the whole layer followed by both measurement outcomes gives the next layer,
+row ``i``'s outcome 0 then its outcome 1, so the rows stay in lexicographic
+order. A phase set with sequences of length up to L therefore costs L layer
+steps, not a replay of every prefix inside each longer sequence, and each
+case gets the same float operations as a from-scratch run of that sequence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .amplifier import ClassState, MeasurementSequence, initial_state, step
+from . import amplifier
+from .amplifier import MeasurementSequence, initial_state
 from .encoding import histogram_from_phases
 from .errors import ImpossibleOutcomeError, InvalidParameterError, check_limit
 
@@ -65,23 +68,17 @@ class DoubledState:
             raise InvalidParameterError("need 2 * n_support amplitudes")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
-        self._check_norm()
-
-    def _check_norm(self) -> None:
-        """The check that rounding can trip, written so that NaN fails it."""
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if not abs(norm - 1.0) <= _NORM_ATOL:
-            raise InvalidParameterError(f"state norm {norm} is not 1")
+        _check_norms(amp)
 
     @classmethod
     def _built(cls, amplitudes: np.ndarray, n_support: int) -> "DoubledState":
         """A state the simulator builds: a fresh complex128 array of
-        ``2 * n_support`` amplitudes. Only :meth:`_check_norm` runs."""
+        ``2 * n_support`` amplitudes. Only :func:`_check_norms` runs."""
         state = object.__new__(cls)
         amplitudes.flags.writeable = False
         object.__setattr__(state, "amplitudes", amplitudes)
         object.__setattr__(state, "n_support", n_support)
-        state._check_norm()
+        _check_norms(amplitudes)
         return state
 
     @property
@@ -95,6 +92,16 @@ class DoubledState:
         return self.amplitudes[self.n_support :]
 
 
+def _check_norms(amplitudes: np.ndarray) -> None:
+    """The check that rounding can trip, written so that NaN fails it, on one
+    state or on each row of a layer; the earliest failing row raises."""
+    norms = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    ok = np.abs(norms - 1.0) <= _NORM_ATOL
+    if not ok.all():
+        norm = float(norms.flat[ok.argmin()])
+        raise InvalidParameterError(f"state norm {norm} is not 1")
+
+
 def _check_phases(phases: Sequence[float]) -> np.ndarray:
     arr = np.asarray(phases, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
@@ -102,36 +109,52 @@ def _check_phases(phases: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def prepare(phases: Sequence[float]) -> DoubledState:
-    """Uniform superposition over the support, reference register empty."""
-    arr = _check_phases(phases)
-    n = arr.size
+def _uniform(n: int) -> np.ndarray:
+    """Amplitudes of the uniform superposition over n assignments, reference empty."""
     amp = np.zeros(2 * n, dtype=np.complex128)
     amp[:n] = 1.0 / math.sqrt(n)
-    return DoubledState._built(amp, n)
+    return amp
+
+
+def prepare(phases: Sequence[float]) -> DoubledState:
+    """Uniform superposition over the support, reference register empty."""
+    n = _check_phases(phases).size
+    return DoubledState._built(_uniform(n), n)
 
 
 def _round(
     amplitudes: np.ndarray, n: int, kick: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One interference round; ``kick`` holds exp(i phase_x). Returns both blocks."""
-    a = amplitudes[:n]
-    b = amplitudes[n:]
+    """One interference round on one state or on each row of a layer;
+    ``kick`` holds exp(i phase_x). Returns both blocks."""
+    a = amplitudes[..., :n]
+    b = amplitudes[..., n:]
     a1 = (a - b) * _INV_SQRT2
     b1 = (a + b) * _INV_SQRT2
     a1 = kick * a1
     return (a1 - b1) * _INV_SQRT2, (a1 + b1) * _INV_SQRT2
 
 
-def _measure(kept: np.ndarray, outcome: int) -> tuple[DoubledState, float]:
-    """Keep one block after the reference measurement, as the new data block."""
-    n = kept.size
-    p = float(np.sum(np.abs(kept) ** 2))
-    if p <= 0.0:
-        raise ImpossibleOutcomeError(f"outcome {outcome} has probability 0")
-    amp = np.zeros(2 * n, dtype=np.complex128)
-    amp[:n] = kept / math.sqrt(p)
-    return DoubledState._built(amp, n), p
+def _measure(
+    kept: np.ndarray, outcome: int | Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep one block after the reference measurement, as the new data block.
+
+    ``kept`` is one block or a stack of them, and ``outcome`` the outcome of
+    each (an int, or an array that broadcasts to the stack). Returns the new
+    amplitudes, each block renormalised by its own ``sqrt(p)``, and each
+    branch probability ``p``, summed over its own contiguous block. The
+    earliest block of probability 0 is refused.
+    """
+    n = kept.shape[-1]
+    p = np.sum(np.abs(kept) ** 2, axis=-1)
+    impossible = p <= 0.0
+    if impossible.any():
+        bad = np.broadcast_to(outcome, p.shape).flat[impossible.argmax()]
+        raise ImpossibleOutcomeError(f"outcome {bad} has probability 0")
+    amp = np.zeros((*kept.shape[:-1], 2 * n), dtype=np.complex128)
+    np.divide(kept, np.sqrt(p)[..., None], out=amp[..., :n])
+    return amp, p
 
 
 def apply_interference_round(state: DoubledState, phases: Sequence[float]) -> DoubledState:
@@ -152,7 +175,8 @@ def measure_reference(state: DoubledState, outcome: int) -> tuple[DoubledState, 
     """
     if outcome not in (0, 1):
         raise InvalidParameterError("outcome must be 0 or 1")
-    return _measure(state.a_block if outcome else state.b_block, outcome)
+    amp, p = _measure(state.a_block if outcome else state.b_block, outcome)
+    return DoubledState._built(amp, state.n_support), float(p)
 
 
 def run_sequence_fullsim(
@@ -179,19 +203,6 @@ class OracleComparison:
     n_cases: int
     max_probability_deviation: float
     max_distribution_deviation: float
-
-
-# One node of the prefix tree: dense state, dense log p, fold state.
-_Prefix = tuple[DoubledState, float, ClassState]
-
-
-def _children(prefix: _Prefix, kick: np.ndarray) -> Iterator[_Prefix]:
-    """The prefix extended by outcome 0, then by outcome 1."""
-    state, log_p, fold = prefix
-    a, b = _round(state.amplitudes, state.n_support, kick)
-    for outcome, kept in ((0, b), (1, a)):
-        child, p = _measure(kept, outcome)
-        yield child, log_p + math.log(p), step(fold, outcome)[0]
 
 
 def compare_with_class_weights(
@@ -228,14 +239,27 @@ def compare_with_class_weights(
         level_of = np.searchsorted(h.thetas, phases)
         members = h.counts[level_of]
         kick = np.exp(1j * phases)
-        layer = [(prepare(phases), 0.0, initial_state(h))]
+        # Row i of each layer is the i-th prefix of its length: its dense
+        # state, dense log p, fold weights and fold log p.
+        dense = _uniform(n)[None, :]
+        _check_norms(dense)
+        dense_logs = [0.0]
+        weights = initial_state(h).weights[None, :]
+        fold_logs = [0.0]
         for m in range(max_sequence + 1):
             if m:
-                layer = [child for prefix in layer for child in _children(prefix, kick)]
-            for state, log_p, fold in layer:
-                dist_dense = np.abs(state.a_block) ** 2
-                per_x = fold.weights[level_of] / members
-                worst_p = max(worst_p, abs(math.exp(log_p) - fold.probability))
-                worst_d = max(worst_d, float(np.max(np.abs(dist_dense - per_x))))
-                cases += 1
+                a, b = _round(dense, n, kick)
+                dense, p = _measure(np.stack((b, a), axis=1), (0, 1))
+                dense = dense.reshape(-1, 2 * n)
+                _check_norms(dense)
+                dense_logs = [
+                    dense_logs[i >> 1] + math.log(q) for i, q in enumerate(p.ravel().tolist())
+                ]
+                weights, fold_logs = amplifier._condition_rows(h, weights, fold_logs)
+            dist_dense = np.abs(dense[:, :n]) ** 2
+            per_x = weights[:, level_of] / members
+            for log_dense, log_fold in zip(dense_logs, fold_logs):
+                worst_p = max(worst_p, abs(math.exp(log_dense) - math.exp(log_fold)))
+            worst_d = max(worst_d, float(np.max(np.abs(dist_dense - per_x))))
+            cases += len(dense_logs)
     return OracleComparison(cases, worst_p, worst_d)

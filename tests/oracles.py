@@ -165,6 +165,19 @@ def ref_validating_condition(h: PhaseHistogram, weights, log_p: float, outcome: 
     return out, p, new.log_sequence_probability
 
 
+def ref_validating_condition_rows(h: PhaseHistogram, rows, logs: list[float]):
+    """:func:`ref_validating_condition` in the signature of the package's
+    layer helper ``amplifier._condition_rows``: each row conditioned on
+    outcome 0, then on outcome 1, one state at a time."""
+    children, child_logs = [], []
+    for weights, log_p in zip(rows, logs):
+        for outcome in (0, 1):
+            child, _, child_log = ref_validating_condition(h, weights, log_p, outcome, None)
+            children.append(child)
+            child_logs.append(child_log)
+    return np.array(children), child_logs
+
+
 class IterationRecord(NamedTuple):
     """One row of a success trajectory, as the package held it before its
     trajectories became columns."""

@@ -22,7 +22,11 @@ from phaseamp.cli import main
 from phaseamp.errors import LIMITS
 from phaseamp.graphs import ObjectiveKind, parse_graph_spec
 
-from .oracles import ref_objective, ref_validating_condition
+from .oracles import (
+    ref_objective,
+    ref_validating_condition,
+    ref_validating_condition_rows,
+)
 
 # Builder specs past the vertex cap, refused before any edge is built.
 HUGE = ("line:100000000", "grid:100000x100000", "starring:100000000")
@@ -261,9 +265,11 @@ def test_fold_prints_what_the_validating_step_printed(monkeypatch, tmp_path, arg
     if argv[0] == "figures":
         argv = [*argv, "--out", str(tmp_path)]
     trusted = _run(argv), _files(tmp_path)
-    # Every step of the fold kernel, of `step` and so of the dense oracle's
-    # fold side goes through the step helper.
+    # Every step of the fold kernel and of `step` goes through the step
+    # helper, and every layer of the dense oracle's fold side through its
+    # layer helper.
     monkeypatch.setattr(amplifier, "_condition", ref_validating_condition)
+    monkeypatch.setattr(amplifier, "_condition_rows", ref_validating_condition_rows)
     assert (_run(argv), _files(tmp_path)) == trusted
 
 

@@ -114,6 +114,92 @@ class TestMeasureReference:
             measure_reference(state, 2)
 
 
+class TestLayerKernels:
+    """The row kernels of the oracle's prefix tree check each row as one state
+    is checked, and report the earliest failing row of the layer."""
+
+    @staticmethod
+    def _layer(n_rows: int, n: int = 3) -> np.ndarray:
+        rng = np.random.default_rng(n_rows)
+        amp = np.zeros((n_rows, 2 * n), dtype=np.complex128)
+        amp[:, :n] = rng.normal(size=(n_rows, n)) + 1j * rng.normal(size=(n_rows, n))
+        return amp / np.sqrt(np.sum(np.abs(amp) ** 2, axis=-1))[:, None]
+
+    def test_normalised_layer_passes(self):
+        fullsim._check_norms(self._layer(6))
+
+    @pytest.mark.parametrize("first, second", [(1, 4), (4, 1)])
+    def test_earliest_bad_norm_is_reported(self, first, second):
+        layer = self._layer(6)
+        layer[first, 0] = np.nan
+        layer[second] *= math.sqrt(1.0 + 1e-9)
+        norm = float(np.sum(np.abs(layer[second]) ** 2))
+        expected = "nan" if first < second else repr(norm)
+        with pytest.raises(InvalidParameterError, match=f"^state norm {expected} is not 1$"):
+            fullsim._check_norms(layer)
+
+    def test_a_row_is_checked_as_its_state(self):
+        # Each row's norm is the one DoubledState checks for that row.
+        layer = self._layer(5)
+        layer[2] *= 1.0 + 1e-9
+        for row in layer:
+            try:
+                DoubledState(row, 3)
+            except InvalidParameterError as err:
+                with pytest.raises(InvalidParameterError, match=f"^{err}$"):
+                    fullsim._check_norms(layer)
+                break
+        else:
+            pytest.fail("the scaled row passed")
+
+    @pytest.mark.parametrize("zeros, outcome", [((3, 4), 1), ((5, 2), 0), ((0,), 0)])
+    def test_earliest_zero_kept_block_is_refused(self, zeros, outcome):
+        # A layer's kept blocks, (prefix, outcome 0 then 1); flat index 2i + outcome.
+        kept = self._layer(6)[:, :3].reshape(3, 2, 3).copy()
+        for flat in zeros:
+            kept[flat // 2, flat % 2] = 0.0
+        with pytest.raises(ImpossibleOutcomeError, match=f"^outcome {outcome} has probability 0$"):
+            fullsim._measure(kept, (0, 1))
+
+    def test_layer_measure_is_the_one_state_measure(self):
+        phases = np.array([0.3, 1.2, 2.9])
+        state = apply_interference_round(prepare(phases), phases)
+        state, _ = measure_reference(state, 1)
+        a, b = fullsim._round(state.amplitudes[None, :], 3, np.exp(1j * phases))
+        children, p = fullsim._measure(np.stack((b, a), axis=1), (0, 1))
+        after = apply_interference_round(state, phases)
+        for outcome in (0, 1):
+            child, q = measure_reference(after, outcome)
+            assert children[0, outcome].tobytes() == child.amplitudes.tobytes()
+            assert p[0, outcome] == q
+
+    def test_fold_rows_are_the_one_state_steps(self):
+        h = histogram_from_phases([0.4, 0.4, 1.3, 2.6])
+        state = amplifier.step(amplifier.initial_state(h), 1)[0]
+        rows, logs = amplifier._condition_rows(
+            h, state.weights[None, :], [state.log_sequence_probability]
+        )
+        for outcome in (0, 1):
+            child = amplifier.step(state, outcome)[0]
+            assert rows[outcome].tobytes() == child.weights.tobytes()
+            assert logs[outcome] == child.log_sequence_probability
+
+    def test_fold_rows_check_before_refusing(self):
+        h = histogram_from_phases([0.5, 1.5, 2.5])
+        weights = np.tile(h.counts / h.support, (3, 1))
+        weights[2] = 0.0  # both children of row 2 are impossible
+        with pytest.raises(ImpossibleOutcomeError, match="^outcome 0 has probability 0 given"):
+            amplifier._condition_rows(h, weights, [0.0, 0.0, 0.0])
+        # A positive log on child 3 (row 1, outcome 1) is raised first.
+        with pytest.raises(InvalidParameterError, match="log probability must be nonpositive"):
+            amplifier._condition_rows(h, weights, [0.0, 1.0, 0.0])
+        weights[0, 0] = np.inf  # its children's weights are inf / inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidParameterError, match="weights must sum to 1"
+        ):
+            amplifier._condition_rows(h, weights, [0.0, 0.0, 0.0])
+
+
 class TestRunSequenceFullsim:
     def test_agrees_with_per_level_fold(self):
         rng = np.random.default_rng(5)
@@ -169,11 +255,28 @@ class TestOracleComparison:
               for length in (0, 8)),
             *({"n_phase_sets": 1, "max_support": support, "seed": 5} for support in (2, 1024)),
             {},
+            *({"n_phase_sets": 10, "max_support": 32, "max_sequence": 4, "seed": seed}
+              for seed in (1, 2, 11, 29)),
+            *({"n_phase_sets": 5, "max_support": 8, "max_sequence": 8, "seed": seed}
+              for seed in (4, 19)),
+            # Both caps at once: up to 256 rows of up to 2048 amplitudes a layer.
+            *({"n_phase_sets": 1, "max_support": 1024, "max_sequence": 8, "seed": seed}
+              for seed in (6, 8)),
         ],
     )
     def test_prefix_pass_equals_the_from_scratch_oracle(self, plan):
         # Same float operations per case, so every field is equal, not close.
         assert compare_with_class_weights(**plan) == ref_compare_with_class_weights(**plan)
+
+    def test_builds_no_state_per_prefix(self, monkeypatch):
+        def per_prefix(*args, **kwargs):
+            raise AssertionError("a state was built for one prefix")
+
+        expected = ref_compare_with_class_weights(3, 8, 5, 2)
+        monkeypatch.setattr(DoubledState, "_built", classmethod(per_prefix))
+        monkeypatch.setattr(amplifier, "step", per_prefix)
+        monkeypatch.setattr(amplifier, "_condition", per_prefix)
+        assert compare_with_class_weights(3, 8, 5, 2) == expected
 
     def test_replays_no_sequence_from_scratch(self, monkeypatch):
         def replay(*args):
