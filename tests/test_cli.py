@@ -529,6 +529,44 @@ class TestFiguresVerb:
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
         assert digest == "ed44106accdb5452ace46d6e3d4e2c03ac5f844177706d28edc58b70f957d929"
 
+    @pytest.mark.parametrize(
+        "argv,names,out_hash,files_hash",
+        [
+            (
+                ["hist", "--graph", "grid:4x5"],
+                ["hist_grid_4x5.csv", "hist_grid_4x5.json"],
+                "1f301c63deadd4c9985e1740f1ea2e2edcf1556e098935ef575c3b017eac848a",
+                "277cdfbe3adebf6b678bb4239b7dddf39864c702126a84fce073446e0eec688c",
+            ),
+            (
+                ["hist", "--uniform", "1000"],
+                ["hist_uniform_1000.csv", "hist_uniform_1000.json"],
+                "3ea88f3e7982f740f537252c939cc12aafb5de718e1446540d2e67db40bdd4a0",
+                "2f066ac6beadc9da86803bf3eb0761f2eddb257fb784267dcc880c1b3723aa26",
+            ),
+            (
+                # run_probability underflows and prints null.
+                ["grid-table", "--grid", "starring:16", "--successes", "10000"],
+                ["grid_table.json"],
+                "8238c9b913e6c1a4aa6f5c323e4f4e63814e0c9fdc555d052198857cf68fd601",
+                "8238c9b913e6c1a4aa6f5c323e4f4e63814e0c9fdc555d052198857cf68fd601",
+            ),
+        ],
+        ids=["hist-grid", "hist-uniform", "grid-table-null"],
+    )
+    def test_single_reports_are_byte_identical(
+        self, capsys, tmp_path, argv, names, out_hash, files_hash
+    ):
+        """``hist`` and ``grid-table`` print and write pinned bytes. Taken as
+        above; the file hash is over the files concatenated in name order."""
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == out_hash
+        files = sorted(tmp_path.iterdir(), key=lambda p: p.name)
+        assert [p.name for p in files] == names
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+        assert digest == files_hash
+
     def test_all_experiments_write_order(self, capsys, tmp_path):
         doc = run_json(
             capsys,
