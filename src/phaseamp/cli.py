@@ -136,8 +136,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_hist(args: argparse.Namespace) -> int:
     h, label = _histogram_for(args, _graph_for(args))
-    text = json_text({"graph": label, **h.to_json_dict()})
-    renders = {"json": lambda: text, "csv": h.to_csv}
+    data = experiments.histogram_renders(h, {"graph": label})
+    text = data["json"]()
+    renders = {"json": lambda: text, "csv": data["csv"]}
     _emit(text, args.out, f"hist_{slug(label)}", renders, args.format)
     return 0
 

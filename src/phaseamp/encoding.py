@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import LIMITS, InvalidParameterError, ResourceLimitError, check_limit
 from .graphs import Graph, ObjectiveKind, scored_assignments
-from .meta import SCHEMA_VERSION
 
 # Tolerance used whenever an external angle is compared against level positions.
 ANGLE_ATOL = 1e-12
@@ -115,28 +114,6 @@ class PhaseHistogram:
             raise InvalidParameterError("band half-width must be nonnegative")
         dist = np.abs(self.thetas - math.pi / 2)
         return float(self.counts[dist <= half_width + ANGLE_ATOL].sum() / self.support)
-
-    def to_json_dict(self) -> dict:
-        ks: Sequence[int | None]
-        ks = self.numerators if self.numerators is not None else [None] * self.n_levels
-        return {
-            "schema": SCHEMA_VERSION,
-            "denominator": self.denominator,
-            "levels": [
-                {"k": k, "theta": float(t), "count": int(c)}
-                for k, t, c in zip(ks, self.thetas, self.counts)
-            ],
-            "support": self.support,
-            "includes_zero": self.includes_zero,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["theta,count"]
-        lines.extend(
-            f"{format(float(t), '.12g')},{int(c)}"
-            for t, c in zip(self.thetas, self.counts)
-        )
-        return "\n".join(lines) + "\n"
 
 
 def _grid_thetas(denominator: int, numerators: Sequence[int]) -> np.ndarray:

@@ -31,30 +31,18 @@ FIG1A_GRAPHS = ("line:6", "line:8", "line:10", "line:12")
 FIG1BC_GRAPHS = ("line:10", "grid:3x3", "grid:4x4", "starring:16")
 FIG2_GRAPHS = ("line:12", "grid:4x4", "starring:16")
 
-_CSV_HEADER = "m,p_individual,P_sequence,p_optimal_conditional"
-
-
 def report_probability(value: float, positive: bool) -> float | None:
     """A probability as a report prints it: None where a positive value
     underflowed to 0.0, so JSON prints null and CSV an empty cell."""
     return None if value == 0.0 and positive else value
 
 
-def _fnum(v: float | None) -> str:
-    return "" if v is None else format(float(v), ".12g")
-
-
-# A trajectory's CSV row, and the row whose P_sequence underflowed to an empty
-# cell; "%.12g" prints what _fnum prints.
-_CSV_ROW = "%d,%.12g,%.12g,%.12g"
-_CSV_ROW_UNDERFLOWED = "%d,%.12g,,%.12g"
-
-
 class Table:
     """Rows with the same keys, given key by key: :func:`json_text` prints it as
     the list of the rows ``{k: columns[k][i] for k in columns}``. A column that
     is itself a table prints as each row's nested object; the columns must be of
-    one length."""
+    one length. A report's rows are one table, and its CSV prints some of the
+    table's columns through :func:`csv_text`."""
 
     __slots__ = ("columns",)
 
@@ -110,20 +98,6 @@ class RunReport:
                 ),
             }
         )
-
-    def to_csv(self) -> str:
-        rows = zip(
-            range(len(self.p_individual)),
-            self.p_individual,
-            self.p_sequence,
-            self.p_optimal_conditional,
-        )
-        lines = [_CSV_HEADER]
-        lines.extend(
-            _CSV_ROW % row if row[2] else _CSV_ROW_UNDERFLOWED % (row[0], row[1], row[3])
-            for row in rows
-        )
-        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,13 +208,6 @@ class AmplifiedDistribution:
     def mode_theta(self) -> float:
         return float(self.thetas[int(np.argmax(self.scaled_weights))])
 
-    def to_csv(self) -> str:
-        lines = ["theta,scaled_weight"]
-        lines.extend(
-            f"{_fnum(t)},{_fnum(w)}" for t, w in zip(self.thetas, self.scaled_weights)
-        )
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
@@ -249,10 +216,9 @@ class AmplifiedDistribution:
             "successes": self.m,
             "scale": self.scale,
             "mode_theta": self.mode_theta,
-            "levels": [
-                {"theta": float(t), "scaled_weight": float(w)}
-                for t, w in zip(self.thetas, self.scaled_weights)
-            ],
+            "levels": Table(
+                {"theta": self.thetas.tolist(), "scaled_weight": self.scaled_weights.tolist()}
+            ),
         }
 
 
@@ -290,23 +256,22 @@ class GridTableReport:
             "checks_saved_factor": self.checks_direct / self.checks_amplified,
         }
 
-    def to_csv(self) -> str:
-        doc = self.to_json_dict()
-        lines = ["key,value"]
-        lines.extend(
-            f"{k},{doc[k] if isinstance(doc[k], (str, int)) else _fnum(doc[k])}"
-            for k in (
-                "graph",
-                "successes",
-                "initial_optimal_probability",
-                "conditional_optimal_probability",
-                "run_probability",
-                "checks_direct",
-                "checks_amplified",
-                "checks_saved_factor",
-            )
-        )
-        return "\n".join(lines) + "\n"
+
+def histogram_renders(h: PhaseHistogram, head: dict) -> dict[str, Callable[[], str]]:
+    """CSV and JSON renderers of a histogram's report; ``head`` leads its JSON.
+
+    Its levels are a table of ``k`` (None off an exact grid), ``theta`` and
+    ``count``; the CSV prints the last two.
+    """
+    ks = h.numerators if h.numerators is not None else [None] * h.n_levels
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "denominator": h.denominator,
+        "levels": Table({"k": ks, "theta": h.thetas.tolist(), "count": h.counts.tolist()}),
+        "support": h.support,
+        "includes_zero": h.includes_zero,
+    }
+    return _data(head, doc, "levels", ("theta", "count"))
 
 
 class _Products:
@@ -653,6 +618,37 @@ def _bracketed(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
+# The text of a CSV cell of each type, as a %-template.
+_CELLS = {float: "%.12g", int: "%d", str: "%s"}
+
+
+def csv_text(columns: Mapping[str, Sequence]) -> str:
+    """The text of every CSV report: a header of the keys, then one line per row.
+
+    Each row is filled from one ``%`` template. A cell is ``%.12g`` for a
+    float, ``%d`` for an int, the text itself for a str, and empty for None.
+    A column of one exact type of these is formatted by the template; any
+    other column is formatted value by value first.
+    """
+    specs, cells = [], []
+    for column in columns.values():
+        kinds = set(map(type, column))
+        spec = _CELLS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec is None:
+            spec, column = "%s", list(map(_cell, column))
+        specs.append(spec)
+        cells.append(column)
+    template = ",".join(specs)
+    return "\n".join([",".join(columns), *(template % row for row in zip(*cells))]) + "\n"
+
+
+def _cell(v: float | int | str | None) -> str:
+    """The text of one cell of a column of mixed types."""
+    if v is None:
+        return ""
+    return _CELLS[str if isinstance(v, str) else int if isinstance(v, int) else float] % v
+
+
 def write_files(
     out_dir: str | Path,
     files: Iterable[tuple[str, Mapping[str, Callable[[], str]]]],
@@ -674,9 +670,16 @@ def write_files(
     return written
 
 
-def _data(report, head: dict) -> dict[str, Callable[[], str]]:
-    """CSV and JSON renderers of a report; ``head`` leads its JSON document."""
-    return {"csv": report.to_csv, "json": lambda: json_text({**head, **report.to_json_dict()})}
+def _data(
+    head: dict, doc: dict, rows: str, csv_keys: Sequence[str]
+) -> dict[str, Callable[[], str]]:
+    """CSV and JSON renderers of the report ``doc``: ``head`` leads its JSON, and
+    its CSV prints the ``csv_keys`` columns of its table ``doc[rows]``."""
+    columns = doc[rows].columns
+    return {
+        "csv": lambda: csv_text({k: columns[k] for k in csv_keys}),
+        "json": lambda: json_text({**head, **doc}),
+    }
 
 
 def _bar_chart(name: str, xs, ys, title: str, ylabel: str) -> Callable[[], str]:
@@ -685,6 +688,10 @@ def _bar_chart(name: str, xs, ys, title: str, ylabel: str) -> Callable[[], str]:
         return emit_svg((bars,), title=title, xlabel="phase (rad)", ylabel=ylabel)
 
     return chart
+
+
+# The columns of a trajectory's records that its CSV prints: all but the tails.
+_TRAJECTORY_CSV = ("m", "p_individual", "P_sequence", "p_optimal_conditional")
 
 
 def _trajectory_files(y_field: str, ylabel: str, exp: str, reports: Mapping[str, RunReport]):
@@ -701,8 +708,9 @@ def _trajectory_files(y_field: str, ylabel: str, exp: str, reports: Mapping[str,
         )
         return emit_svg(series, title=exp, xlabel="successful measurements", ylabel=ylabel)
 
+    head = {"experiment": exp}
     data = [
-        (f"{exp}_{slug(label)}", _data(report, {"experiment": exp}))
+        (f"{exp}_{slug(label)}", _data(head, report.to_json_dict(), "records", _TRAJECTORY_CSV))
         for label, report in reports.items()
     ]
     return [*data, (exp, {"svg": chart})]
@@ -714,7 +722,7 @@ def _fig2_files(exp: str, histograms: Mapping[str, PhaseHistogram]):
     for label, h in histograms.items():
         chart = _bar_chart(label, h.thetas, h.counts, f"fig2 {label}", "assignments per level")
         head = {"experiment": exp, "graph": label}
-        files.append((f"fig2_{slug(label)}", {**_data(h, head), "svg": chart}))
+        files.append((f"fig2_{slug(label)}", {**histogram_renders(h, head), "svg": chart}))
     return files
 
 
@@ -722,11 +730,16 @@ def _fig3_files(exp: str, dist: AmplifiedDistribution):
     name, title = f"{dist.label} after {dist.m} successes", f"fig3 {dist.label}"
     ylabel = "count-scaled conditional weight"
     chart = _bar_chart(name, dist.thetas, dist.scaled_weights, title, ylabel)
-    return [("fig3", {**_data(dist, {"experiment": exp}), "svg": chart})]
+    data = _data({"experiment": exp}, dist.to_json_dict(), "levels", ("theta", "scaled_weight"))
+    return [("fig3", {**data, "svg": chart})]
 
 
 def _grid_table_files(exp: str, table: GridTableReport):
-    return [("grid_table", {"json": lambda: json_text(table.to_json_dict()), "csv": table.to_csv})]
+    """The JSON document, and a CSV of its keys and values past schema and generator."""
+    doc = table.to_json_dict()
+    keys = [k for k in doc if k not in ("schema", "generator")]
+    csv = {"key": keys, "value": [doc[k] for k in keys]}
+    return [("grid_table", {"json": lambda: json_text(doc), "csv": lambda: csv_text(csv)})]
 
 
 _OPTIMAL = partial(_trajectory_files, "p_optimal_conditional", "conditional optimal probability")

@@ -8,8 +8,12 @@ package's former fold step, :func:`ref_success_trajectory`, the former
 state-per-row trajectory loop, with its :class:`IterationRecord` rows and
 :func:`ref_trajectory_csv`, their CSV writer,
 :func:`ref_compare_with_class_weights`, the dense oracle's former
-from-scratch loop, and :func:`ref_json_text`, the former report writer,
-each kept as the oracle of the code that replaced it.
+from-scratch loop, :func:`ref_json_text`, the former report writer, and the
+former per-report writers (:func:`ref_histogram_json_dict`,
+:func:`ref_histogram_csv`, :func:`ref_amplified_json_dict`,
+:func:`ref_amplified_csv`, :func:`ref_grid_table_csv`), with
+:func:`ref_csv_text`, a cell-by-cell CSV writer, each kept as the oracle of
+the code that replaced it.
 """
 
 from __future__ import annotations
@@ -32,8 +36,15 @@ from phaseamp.amplifier import (
 )
 from phaseamp.encoding import ANGLE_ATOL, PhaseHistogram, histogram_from_phases
 from phaseamp.errors import ImpossibleOutcomeError
-from phaseamp.experiments import RunReport, Table, report_probability
+from phaseamp.experiments import (
+    AmplifiedDistribution,
+    GridTableReport,
+    RunReport,
+    Table,
+    report_probability,
+)
 from phaseamp.fullsim import OracleComparison, run_sequence_fullsim
+from phaseamp.meta import SCHEMA_VERSION, __version__
 
 
 def bits_of(x: int, n: int) -> str:
@@ -218,19 +229,111 @@ def ref_records(report: RunReport) -> list[IterationRecord]:
     ]
 
 
+def ref_fnum(v) -> str:
+    """A number as the former CSV writers printed it; None is an empty cell."""
+    return "" if v is None else format(float(v), ".12g")
+
+
 def ref_trajectory_csv(report: RunReport) -> str:
     """A trajectory's CSV as the package wrote it before its columnar writer:
     each value formatted on its own."""
-
-    def fnum(v):
-        return "" if v is None else format(float(v), ".12g")
-
     lines = ["m,p_individual,P_sequence,p_optimal_conditional"]
     lines.extend(
-        f"{r.m},{fnum(r.p_individual)},{fnum(report_probability(r.p_sequence, True))},"
-        f"{fnum(r.p_optimal_conditional)}"
+        f"{r.m},{ref_fnum(r.p_individual)},{ref_fnum(report_probability(r.p_sequence, True))},"
+        f"{ref_fnum(r.p_optimal_conditional)}"
         for r in ref_records(report)
     )
+    return "\n".join(lines) + "\n"
+
+
+def ref_histogram_json_dict(h: PhaseHistogram) -> dict:
+    """A histogram's JSON document as the package built it before its levels
+    became a table: one dict per level."""
+    ks = h.numerators if h.numerators is not None else [None] * h.n_levels
+    return {
+        "schema": SCHEMA_VERSION,
+        "denominator": h.denominator,
+        "levels": [
+            {"k": k, "theta": float(t), "count": int(c)}
+            for k, t, c in zip(ks, h.thetas, h.counts)
+        ],
+        "support": h.support,
+        "includes_zero": h.includes_zero,
+    }
+
+
+def ref_histogram_csv(h: PhaseHistogram) -> str:
+    """A histogram's CSV as the package wrote it before its one CSV writer."""
+    lines = ["theta,count"]
+    lines.extend(
+        f"{format(float(t), '.12g')},{int(c)}" for t, c in zip(h.thetas, h.counts)
+    )
+    return "\n".join(lines) + "\n"
+
+
+def ref_amplified_json_dict(dist: AmplifiedDistribution) -> dict:
+    """An amplified distribution's JSON document as the package built it before
+    its levels became a table: one dict per level."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "generator": f"phaseamp {__version__}",
+        "graph": dist.label,
+        "successes": dist.m,
+        "scale": dist.scale,
+        "mode_theta": dist.mode_theta,
+        "levels": [
+            {"theta": float(t), "scaled_weight": float(w)}
+            for t, w in zip(dist.thetas, dist.scaled_weights)
+        ],
+    }
+
+
+def ref_amplified_csv(dist: AmplifiedDistribution) -> str:
+    """An amplified distribution's CSV as the package wrote it before its one
+    CSV writer."""
+    lines = ["theta,scaled_weight"]
+    lines.extend(
+        f"{ref_fnum(t)},{ref_fnum(w)}" for t, w in zip(dist.thetas, dist.scaled_weights)
+    )
+    return "\n".join(lines) + "\n"
+
+
+def ref_grid_table_csv(table: GridTableReport) -> str:
+    """A grid table's CSV as the package wrote it before its one CSV writer:
+    ``key,value`` lines of its document, numbers formatted one by one."""
+    doc = table.to_json_dict()
+    lines = ["key,value"]
+    lines.extend(
+        f"{k},{doc[k] if isinstance(doc[k], (str, int)) else ref_fnum(doc[k])}"
+        for k in (
+            "graph",
+            "successes",
+            "initial_optimal_probability",
+            "conditional_optimal_probability",
+            "run_probability",
+            "checks_direct",
+            "checks_amplified",
+            "checks_saved_factor",
+        )
+    )
+    return "\n".join(lines) + "\n"
+
+
+def ref_csv_text(columns) -> str:
+    """A CSV table cell by cell: ``.12g`` for a float, the digits of an int, a
+    str as it is, and an empty cell for None."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        return str(v) if isinstance(v, int) else format(v, ".12g")
+
+    keys = list(columns)
+    n_rows = len(next(iter(columns.values()), ()))
+    lines = [",".join(keys)]
+    lines.extend(",".join(cell(columns[k][i]) for k in keys) for i in range(n_rows))
     return "\n".join(lines) + "\n"
 
 

@@ -20,10 +20,18 @@ import pytest
 import phaseamp
 from phaseamp import amplifier, cli, errors, experiments, graphs, meta
 from phaseamp.cli import build_parser, main, parse_angle, parse_fraction
+from phaseamp.encoding import build_histogram, uniform_histogram
 from phaseamp.errors import LIMITS, InvalidParameterError
 from phaseamp.graphs import format_graph_file, make_line
 
-from .oracles import ref_compare_with_class_weights, ref_dict_rows, ref_json_text, ref_objective
+from .oracles import (
+    ref_compare_with_class_weights,
+    ref_dict_rows,
+    ref_histogram_csv,
+    ref_histogram_json_dict,
+    ref_json_text,
+    ref_objective,
+)
 
 
 # One line for every run length too large for float arithmetic.
@@ -165,6 +173,33 @@ class TestHistVerb:
         with pytest.raises(SystemExit) as exc:
             main(["hist"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,label,h",
+        [
+            (
+                ("--graph", "grid:4x5"),
+                "grid:4x5",
+                lambda: build_histogram(graphs.parse_graph_spec("grid:4x5"), "maxcut"),
+            ),
+            (
+                ("--graph", "line:7", "--objective", "covered-edges", "--include-zero"),
+                "line:7",
+                lambda: build_histogram(make_line(7), "covered-edges", include_zero=True),
+            ),
+            (("--uniform", "1000"), "uniform:1000", lambda: uniform_histogram(1000)),
+        ],
+        ids=["grid", "include-zero", "uniform"],
+    )
+    def test_files_print_the_former_writers(self, capsys, tmp_path, argv, label, h):
+        code, out, err = run_cli(capsys, "hist", *argv, "--out", str(tmp_path))
+        assert code == 0, err
+        h = h()
+        expected = ref_json_text({"graph": label, **ref_histogram_json_dict(h)})
+        assert out == expected
+        stem = tmp_path / f"hist_{experiments.slug(label)}"
+        assert stem.with_suffix(".json").read_text() == expected
+        assert stem.with_suffix(".csv").read_text() == ref_histogram_csv(h)
 
 
 class TestAmplifyVerb:
@@ -1336,6 +1371,20 @@ class TestTopLevel:
             ("experiments.py", "_texts", "TypeError"),
             ("experiments.py", "_rows", "TypeError"),
         }
+
+    def test_src_prints_numbers_for_reports_in_experiments_only(self):
+        # One CSV writer: only experiments.py spells the .12g format, and no
+        # module but experiments.py defines a to_csv.
+        spelled, to_csv = set(), set()
+        for path in sorted(Path(phaseamp.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            if ".12g" in text:
+                spelled.add(path.name)
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_csv":
+                    to_csv.add(path.name)
+        assert spelled == {"experiments.py"}
+        assert to_csv <= {"experiments.py"}
 
     def test_verb_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,6 +23,7 @@ from phaseamp.encoding import (
     uniform_histogram,
 )
 from phaseamp.errors import LIMITS, InvalidParameterError, ResourceLimitError
+from phaseamp.experiments import histogram_renders
 from phaseamp.graphs import (
     Graph,
     ObjectiveKind,
@@ -33,7 +34,14 @@ from phaseamp.graphs import (
 )
 from phaseamp.meta import SCHEMA_VERSION
 
-from .oracles import ref_level_counts, ref_objective, ref_tail_mass
+from .oracles import (
+    ref_histogram_csv,
+    ref_histogram_json_dict,
+    ref_json_text,
+    ref_level_counts,
+    ref_objective,
+    ref_tail_mass,
+)
 
 
 class TestPhaseOf:
@@ -273,9 +281,14 @@ class TestMasses:
             grid44_histogram.band_mass(-0.1)
 
 
+def histogram_report(h: PhaseHistogram, fmt: str) -> str:
+    """A histogram's report text in one format, as ``hist`` and ``fig2`` write it."""
+    return histogram_renders(h, {})[fmt]()
+
+
 class TestSerialization:
     def test_json_dict_shape(self, grid44_histogram):
-        doc = grid44_histogram.to_json_dict()
+        doc = json.loads(histogram_report(grid44_histogram, "json"))
         assert doc["schema"] == SCHEMA_VERSION
         assert doc["denominator"] == 24
         assert doc["support"] == 2**16 - 1
@@ -286,22 +299,34 @@ class TestSerialization:
             "theta": pytest.approx(math.pi),
             "count": 2,
         }
-        json.dumps(doc)  # must be serializable as-is
 
     def test_json_null_labels_off_grid(self):
         h = histogram_from_phases([0.3, 0.3, 1.1])
-        doc = h.to_json_dict()
+        doc = json.loads(histogram_report(h, "json"))
         assert doc["denominator"] is None
         assert [lv["k"] for lv in doc["levels"]] == [None, None]
 
     def test_csv_layout(self):
         h = uniform_histogram(2)
-        lines = h.to_csv().splitlines()
+        lines = histogram_report(h, "csv").splitlines()
         assert lines[0] == "theta,count"
         assert len(lines) == 3
         theta, count = lines[1].split(",")
         assert float(theta) == pytest.approx(math.pi / 2)
         assert count == "1"
+
+    def test_reports_print_the_former_writers(self, grid44_histogram):
+        # On a grid, off a grid (null k), with the zero level, and two peaks.
+        model = TwoPeakModel.from_gains(0.125, 0.125, 2)
+        for h in (
+            grid44_histogram,
+            histogram_from_phases([0.3, 0.3, 1.1, math.pi]),
+            build_histogram(make_line(5), "covered-edges", include_zero=True),
+            uniform_histogram(7),
+            two_peak_histogram(model, 40),
+        ):
+            assert histogram_report(h, "json") == ref_json_text(ref_histogram_json_dict(h))
+            assert histogram_report(h, "csv") == ref_histogram_csv(h)
 
 
 class TestUniformHistogram:

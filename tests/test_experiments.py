@@ -26,6 +26,7 @@ from phaseamp.experiments import (
     Series,
     Table,
     build_reports,
+    csv_text,
     emit_svg,
     json_text,
     run_experiment,
@@ -36,13 +37,32 @@ from phaseamp.experiments import (
 from phaseamp.graphs import ObjectiveKind, make_line, parse_graph_spec
 from phaseamp.meta import SCHEMA_VERSION
 
-from .oracles import ref_dict_rows, ref_json_text, ref_records, ref_trajectory_csv
+from .oracles import (
+    ref_amplified_csv,
+    ref_amplified_json_dict,
+    ref_csv_text,
+    ref_dict_rows,
+    ref_grid_table_csv,
+    ref_histogram_csv,
+    ref_histogram_json_dict,
+    ref_json_text,
+    ref_records,
+    ref_trajectory_csv,
+)
 
 
 def reports_of(experiment: str, *graph_specs: str, **settings):
     """The reports of one experiment, built from its config."""
     config = ExperimentConfig(experiment, graph_specs or None, **settings)
     return build_reports(config)[experiment]
+
+
+def files_of(out_dir, experiment: str, *graph_specs: str, **settings) -> dict[str, str]:
+    """The text of each CSV and JSON file one experiment writes, by file name."""
+    config = ExperimentConfig(
+        experiment, graph_specs or None, out_dir=str(out_dir), formats=("csv", "json"), **settings
+    )
+    return {p.name: p.read_text() for p in run_experiment(config)}
 
 
 class TestSuccessTrajectory:
@@ -85,9 +105,9 @@ class TestSuccessTrajectory:
             float(state.weights[mask].sum())
         )
 
-    def test_csv_layout(self, grid44_histogram):
-        report = success_trajectory(grid44_histogram, 2, label="grid:4x4")
-        rows = list(csv.reader(io.StringIO(report.to_csv())))
+    def test_csv_layout(self, tmp_path):
+        text = files_of(tmp_path, "custom", "grid:4x4", m_max=2)["custom_grid_4x4.csv"]
+        rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["m", "p_individual", "P_sequence", "p_optimal_conditional"]
         assert len(rows) == 4
         assert rows[1][0] == "0"
@@ -284,16 +304,15 @@ class TestFig3:
         np.testing.assert_allclose(dist.scaled_weights, folded, rtol=1e-12, atol=0)
         assert np.array_equal(dist.scaled_weights == 0, folded == 0)
 
-    def test_csv_and_json(self):
-        dist = reports_of("fig3", "grid:4x4", successes=1)
-        lines = dist.to_csv().splitlines()
+    def test_csv_and_json(self, tmp_path):
+        files = files_of(tmp_path, "fig3", "grid:4x4", successes=1)
+        lines = files["fig3.csv"].splitlines()
         assert lines[0] == "theta,scaled_weight"
         assert len(lines) == 26
-        doc = dist.to_json_dict()
+        doc = json.loads(files["fig3.json"])
         assert doc["successes"] == 1
         assert doc["scale"] == 2**16 - 1
         assert len(doc["levels"]) == 25
-        json.dumps(doc)
 
     def test_rejects_negative_successes(self):
         with pytest.raises(InvalidParameterError):
@@ -335,17 +354,19 @@ class TestGridTable:
             table.checks_direct / table.checks_amplified
         )
 
-    def test_underflowed_run_probability_prints_null(self):
+    def test_underflowed_run_probability_prints_null(self, tmp_path):
         # The run is possible, but its probability is below the float range.
         table = reports_of("grid-table", "starring:16", successes=10000)
         assert table.run_probability == 0.0
         assert table.to_json_dict()["run_probability"] is None
-        rows = dict(line.split(",", 1) for line in table.to_csv().splitlines()[1:])
+        text = files_of(tmp_path, "grid-table", "starring:16", successes=10000)["grid_table.csv"]
+        assert text == ref_grid_table_csv(table)
+        rows = dict(line.split(",", 1) for line in text.splitlines()[1:])
         assert rows["run_probability"] == ""
         assert float(rows["checks_saved_factor"]) > 1.0
 
-    def test_csv_layout(self):
-        text = reports_of("grid-table", "grid:4x4", successes=10).to_csv()
+    def test_csv_layout(self, tmp_path):
+        text = files_of(tmp_path, "grid-table", "grid:4x4", successes=10)["grid_table.csv"]
         rows = dict(
             line.split(",", 1) for line in text.splitlines()[1:]
         )
@@ -596,6 +617,38 @@ _TREES = st.recursive(
 )
 
 
+@st.composite
+def _csv_tables(draw):
+    """CSV tables given key by key: float, int, str, None and ``range`` columns,
+    and columns of mixed cells; zero and one row as likely as any count."""
+    n = draw(st.integers(0, 4))
+    keys = draw(st.lists(_KEYS, unique=True, max_size=4))
+    kinds = (
+        st.floats(),
+        st.floats().map(np.float64),
+        st.integers(),
+        st.text(_TEXT_CHARS, max_size=4),
+        st.none(),
+    )
+    column = st.one_of(
+        st.sampled_from(kinds).flatmap(lambda kind: st.lists(kind, min_size=n, max_size=n)),
+        st.lists(st.one_of(kinds), min_size=n, max_size=n),
+        st.just(range(n)),
+    )
+    return {k: draw(column) for k in keys}
+
+
+def _former_trajectory_files(exp: str, reports) -> dict[str, str]:
+    """Each trajectory's CSV and JSON as the former per-row writers printed them."""
+    files = {}
+    for label, report in reports.items():
+        doc = {"experiment": exp, **report.to_json_dict()}
+        rows = [record.to_json_dict() for record in ref_records(report)]
+        files[f"{exp}_{slug(label)}.csv"] = ref_trajectory_csv(report)
+        files[f"{exp}_{slug(label)}.json"] = ref_json_text({**doc, "records": rows})
+    return files
+
+
 class TestReportOutput:
     def test_slug(self):
         assert slug("grid:4x4") == "grid_4x4"
@@ -646,28 +699,58 @@ class TestReportOutput:
         # A table prints as the list of its row dicts would.
         assert json_text(doc) == ref_json_text(ref_dict_rows(doc))
 
-    def test_trajectory_documents_print_the_former_rows(self):
-        # Every trajectory document of ``figures --experiment all`` and two long
-        # ones, starring:12's with P_sequence underflowed from m = 3906 on: the
-        # column table prints the bytes of the former per-row dicts, and the CSV
-        # those of the former per-value loop.
-        all_reports = build_reports(ExperimentConfig("all"))
+    def test_trajectory_documents_print_the_former_rows(self, tmp_path):
+        # Two long trajectories, starring:12's with P_sequence underflowed from
+        # m = 3906 on: the column table prints the bytes of the former per-row
+        # dicts, and the CSV those of the former per-value loop.
         custom = reports_of("custom", "line:14", "starring:12", m_max=4000)
         assert custom["starring:12"].p_sequence[3905] > 0.0
         assert set(custom["starring:12"].p_sequence[3906:]) == {0.0}
-        documents = [
-            (exp, report)
-            for exp in ("fig1a", "fig1b", "fig1c")
-            for report in all_reports[exp].values()
-        ] + [("custom", report) for report in custom.values()]
-        assert len(documents) == 14
-        for exp, report in documents:
-            doc = {"experiment": exp, **report.to_json_dict()}
-            rows = [record.to_json_dict() for record in ref_records(report)]
-            assert json_text(doc) == ref_json_text({**doc, "records": rows}), report.label
-            assert report.to_csv() == ref_trajectory_csv(report), report.label
-        text = json_text(custom["starring:12"].to_json_dict())
-        assert text.count('"P_sequence": null') == 95
+        files = files_of(tmp_path, "custom", "line:14", "starring:12", m_max=4000)
+        assert files == _former_trajectory_files("custom", custom)
+        assert files["custom_starring_12.json"].count('"P_sequence": null') == 95
+        assert files["custom_starring_12.csv"].count(",,") == 95
+
+    def test_report_files_print_the_former_writers(self, tmp_path):
+        # Every CSV and JSON file of ``figures --experiment all``, and of two
+        # trajectories to m = 3906, the first row where starring:12's P_sequence
+        # underflows, prints the bytes of the writer it replaced.
+        reports = build_reports(ExperimentConfig("all"))
+        expected = {}
+        for exp in ("fig1a", "fig1b", "fig1c"):
+            expected.update(_former_trajectory_files(exp, reports[exp]))
+        for label, h in reports["fig2"].items():
+            head = {"experiment": "fig2", "graph": label}
+            expected[f"fig2_{slug(label)}.csv"] = ref_histogram_csv(h)
+            expected[f"fig2_{slug(label)}.json"] = ref_json_text(
+                {**head, **ref_histogram_json_dict(h)}
+            )
+        dist, table = reports["fig3"], reports["grid-table"]
+        expected["fig3.csv"] = ref_amplified_csv(dist)
+        expected["fig3.json"] = ref_json_text({"experiment": "fig3", **ref_amplified_json_dict(dist)})
+        expected["grid_table.csv"] = ref_grid_table_csv(table)
+        expected["grid_table.json"] = ref_json_text(table.to_json_dict())
+        assert len(expected) == 34
+        assert files_of(tmp_path / "all", "all") == expected
+        custom = reports_of("custom", "starring:12", "line:14", m_max=3906)
+        files = files_of(tmp_path / "custom", "custom", "starring:12", "line:14", m_max=3906)
+        assert files == _former_trajectory_files("custom", custom)
+        assert files["custom_starring_12.json"].count('"P_sequence": null') == 1
+
+    @given(_csv_tables())
+    @example({})
+    @example({"m": range(0), "p": []})
+    @example({"m": range(1), "p": [0.5], "s": ["a%sb"], "n": [None]})
+    @example({"a": [1.5, None, 7, "x", math.nan], "b": [math.inf, -0.0, 1e300, 10**30, -1]})
+    @example({"p": [0.1, None, 1e-320], "%d": [np.float64(0.1), 2, None]})
+    @settings(max_examples=300, deadline=None)
+    def test_csv_text_prints_each_cell(self, columns):
+        assert csv_text(columns) == ref_csv_text(columns)
+
+    def test_csv_text_layout(self):
+        columns = {"m": range(3), "p": [0.5, None, 1 / 3], "label": ["a", "b", "c"], "n": [1, 2.0, None]}
+        assert csv_text(columns) == "m,p,label,n\n0,0.5,a,1\n1,,b,2\n2,0.333333333333,c,\n"
+        assert csv_text({"x": [], "y": ()}) == "x,y\n"
 
     def test_write_files_renders_only_selected_formats(self, tmp_path):
         rendered = []
