@@ -280,11 +280,6 @@ def run_sequence(h: PhaseHistogram, y: MeasurementSequence) -> tuple[ClassState,
     return state, state.probability
 
 
-def success_run(h: PhaseHistogram, m: int) -> tuple[ClassState, float]:
-    """Run an all-ones sequence of length ``m``."""
-    return run_sequence(h, MeasurementSequence.successes(m))
-
-
 def _scaled_log1p(exponent: int, x: np.ndarray) -> np.ndarray:
     """``exponent * log(1 + x)``, taking ``0 * log 0`` as 0."""
     if exponent == 0:

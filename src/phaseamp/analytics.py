@@ -1,9 +1,9 @@
 """Closed forms for the measurement dynamics.
 
 Covers the flat-spectrum asymptotics (a continuum of angles filling (0, pi]),
-the two-peak filter model, record-based landscape probes, and rigorous tail
-and band bounds. Wherever the inputs are exact (integers, Fractions), the
-arithmetic stays exact; float inputs give float outputs.
+the two-peak filter model, and rigorous tail and band bounds. Wherever the
+inputs are exact (integers, Fractions), the arithmetic stays exact; float
+inputs give float outputs.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-import numpy as np
-
-from .encoding import ANGLE_ATOL, PhaseHistogram
+from .encoding import ANGLE_ATOL
 from .errors import InvalidParameterError, check_limit
 
 Number = Union[int, float, Fraction]
@@ -26,26 +24,20 @@ Number = Union[int, float, Fraction]
 # Flat spectrum
 
 
-def central_binomial_norm_exact(m: int) -> Fraction:
-    """Exact 1 / C(2m, m): the normalization of the m-fold sine-power profile."""
+def central_binomial_norm(m: int) -> float:
+    """1 / C(2m, m), the normalization of the m-fold sine-power profile,
+    correctly rounded."""
     if m < 0:
         raise InvalidParameterError("m must be nonnegative")
-    return Fraction(1, math.comb(2 * m, m))
-
-
-def central_binomial_norm(m: int) -> float:
-    return float(central_binomial_norm_exact(m))
-
-
-def uniform_step_success_exact(m: int) -> Fraction:
-    """Exact success probability of step m on a flat spectrum, (2m-1)/(2m)."""
-    if m < 1:
-        raise InvalidParameterError("steps are numbered from 1")
-    return Fraction(2 * m - 1, 2 * m)
+    return 1 / math.comb(2 * m, m)
 
 
 def uniform_step_success(m: int) -> float:
-    return float(uniform_step_success_exact(m))
+    """Success probability of step m on a flat spectrum, (2m-1)/(2m),
+    correctly rounded."""
+    if m < 1:
+        raise InvalidParameterError("steps are numbered from 1")
+    return (2 * m - 1) / (2 * m)
 
 
 def uniform_run_probability_exact(total: int) -> Fraction:
@@ -258,53 +250,6 @@ def _log2(x: Number) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Record-based landscape probes
-
-
-@dataclass(frozen=True)
-class PeakWindow:
-    """Where in the spectrum a recorded sequence concentrates its evidence.
-
-    ``z_max`` is the cosine at which the sequence weight profile peaks,
-    ``width`` the half-width of the surrounding cosine window, and
-    ``interval`` the corresponding angles (low, high).
-    """
-
-    z_max: float
-    width: float
-    interval: tuple[float, float]
-
-
-def peak_window(q: int, m: int) -> PeakWindow:
-    """Cosine window a length-m sequence with q ones is most sensitive to."""
-    if m < 1:
-        raise InvalidParameterError("sequence length must be at least 1")
-    if not 0 <= q <= m:
-        raise InvalidParameterError("ones count must lie in [0, m]")
-    z_max = (m - 2 * q) / m
-    width = math.sqrt(8 * q * (m - q) / m**3)
-    z_low = max(-1.0, z_max - width)
-    z_high = min(1.0, z_max + width)
-    return PeakWindow(z_max, width, (math.acos(z_high), math.acos(z_low)))
-
-
-def estimate_mass_from_sequence(p_y: float, q: int, m: int) -> float:
-    """Estimate the spectral mass inside the window of a recorded sequence.
-
-    Divides the observed sequence probability by the profile's peak value
-    (q/m)^q ((m-q)/m)^(m-q); the result is clamped to [0, 1].
-    """
-    if m < 1:
-        raise InvalidParameterError("sequence length must be at least 1")
-    if not 0 <= q <= m:
-        raise InvalidParameterError("ones count must lie in [0, m]")
-    if p_y < 0:
-        raise InvalidParameterError("sequence probability must be nonnegative")
-    peak = (q / m) ** q * ((m - q) / m) ** (m - q)
-    return min(1.0, p_y / peak)
-
-
-# ---------------------------------------------------------------------------
 # Rigorous bounds
 
 
@@ -350,35 +295,3 @@ def band_bound(p_single_01: float, half_width: float) -> float:
     sin_sq = math.sin(half_width) ** 2
     # Clamped to [0, 1]: at p(01) = 1/4 rounding can lift the quotient past 1.
     return min(1.0, max(0.0, (4.0 * p_single_01 - cos_sq) / sin_sq))
-
-
-# ---------------------------------------------------------------------------
-# Amplified sampling vs direct sampling
-
-
-@dataclass(frozen=True)
-class SamplingComparison:
-    """Tail hit rates of the two ways of hunting a high-scoring assignment.
-
-    ``p_amplified`` is the joint probability that an all-ones run survives
-    and lands in the tail; ``p_sampled`` is the probability that one direct
-    draw from the support lands there. The amplified route never beats the
-    direct draw on raw hit rate; what it buys is that surviving runs are
-    concentrated in the tail.
-    """
-
-    p_amplified: float
-    p_sampled: float
-
-
-def sampling_comparison(h: PhaseHistogram, theta: float, m: int) -> SamplingComparison:
-    """Compare an m-step all-ones run against direct sampling for the tail at theta."""
-    if m < 0:
-        raise InvalidParameterError("run length must be nonnegative")
-    tail = h.tail_start(theta)
-    counts = h.counts[tail:]
-    cosines = np.cos(h.thetas[tail:])
-    support = h.support
-    p_sampled = float(counts.sum() / support)
-    p_amplified = float(np.sum(counts * ((1.0 - cosines) / 2.0) ** m) / support)
-    return SamplingComparison(p_amplified, p_sampled)

@@ -104,17 +104,6 @@ class PhaseHistogram:
         angles increase, so the levels from there on are the tail."""
         return int(np.searchsorted(self.thetas, theta - ANGLE_ATOL))
 
-    def tail_mass(self, theta: float) -> float:
-        """Fraction of the support at angles >= theta (tolerant at boundaries)."""
-        return float(self.counts[self.tail_start(theta) :].sum() / self.support)
-
-    def band_mass(self, half_width: float) -> float:
-        """Fraction of the support with |theta - pi/2| <= half_width."""
-        if half_width < 0:
-            raise InvalidParameterError("band half-width must be nonnegative")
-        dist = np.abs(self.thetas - math.pi / 2)
-        return float(self.counts[dist <= half_width + ANGLE_ATOL].sum() / self.support)
-
 
 def _grid_thetas(denominator: int, numerators: Sequence[int]) -> np.ndarray:
     return np.array([k * math.pi / denominator for k in numerators], dtype=np.float64)
@@ -316,26 +305,6 @@ def uniform_histogram(n_support: int) -> PhaseHistogram:
         denominator=n_support,
         numerators=numerators,
         includes_zero=False,
-    )
-
-
-def two_peak_histogram(model, n_support: int) -> PhaseHistogram:
-    """Discretize a two-peak model onto ``n_support`` assignments.
-
-    The lower peak gets ``round(q_l * N)`` assignments and the upper peak the
-    rest; both peaks must stay populated.
-    """
-    if n_support < 2:
-        raise InvalidParameterError("a two-peak histogram needs at least 2 assignments")
-    n_low = round(float(model.q_l) * n_support)
-    n_high = n_support - n_low
-    if n_low < 1 or n_high < 1:
-        raise InvalidParameterError(
-            f"support {n_support} cannot populate both peaks (split {n_low}/{n_high})"
-        )
-    return PhaseHistogram(
-        np.array([model.alpha_l, model.alpha_u], dtype=np.float64),
-        np.array([n_low, n_high], dtype=np.int64),
     )
 
 

@@ -22,6 +22,11 @@ tracks one amplitude per assignment and register instead of one weight per
 level, so agreement between the two is a real check. It calls the fold only
 to compare against it, never to compute a dense amplitude.
 
+A state is a bare complex array. The kernels :func:`_round`,
+:func:`_measure` and :func:`_check_norms` act on one state or on each row
+of a layer alike. :func:`run_sequence_fullsim` runs one record from
+scratch through them.
+
 :func:`compare_with_class_weights` walks the sequences as a prefix tree, one
 layer per length, with every prefix of a length held as a row of one array:
 a ``(P, 2N)`` array of dense states, a ``(P, K)`` array of fold weights and
@@ -50,48 +55,6 @@ _NORM_ATOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class DoubledState:
-    """Normalized state over the paired-register subspace.
-
-    A state a caller builds is copied and checked in full here. The
-    simulator builds its states through :meth:`_built`, which trusts the
-    shape and type of the fresh array it is given.
-    """
-
-    amplitudes: np.ndarray
-    n_support: int
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        if amp.ndim != 1 or amp.size != 2 * self.n_support or self.n_support < 1:
-            raise InvalidParameterError("need 2 * n_support amplitudes")
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
-        _check_norms(amp)
-
-    @classmethod
-    def _built(cls, amplitudes: np.ndarray, n_support: int) -> "DoubledState":
-        """A state the simulator builds: a fresh complex128 array of
-        ``2 * n_support`` amplitudes. Only :func:`_check_norms` runs."""
-        state = object.__new__(cls)
-        amplitudes.flags.writeable = False
-        object.__setattr__(state, "amplitudes", amplitudes)
-        object.__setattr__(state, "n_support", n_support)
-        _check_norms(amplitudes)
-        return state
-
-    @property
-    def a_block(self) -> np.ndarray:
-        """Amplitudes of |x, 0>, x = 1..N."""
-        return self.amplitudes[: self.n_support]
-
-    @property
-    def b_block(self) -> np.ndarray:
-        """Amplitudes of |0, x>, x = 1..N."""
-        return self.amplitudes[self.n_support :]
-
-
 def _check_norms(amplitudes: np.ndarray) -> None:
     """The check that rounding can trip, written so that NaN fails it, on one
     state or on each row of a layer; the earliest failing row raises."""
@@ -102,24 +65,11 @@ def _check_norms(amplitudes: np.ndarray) -> None:
         raise InvalidParameterError(f"state norm {norm} is not 1")
 
 
-def _check_phases(phases: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(phases, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidParameterError("need a nonempty 1-d list of phases")
-    return arr
-
-
 def _uniform(n: int) -> np.ndarray:
     """Amplitudes of the uniform superposition over n assignments, reference empty."""
     amp = np.zeros(2 * n, dtype=np.complex128)
     amp[:n] = 1.0 / math.sqrt(n)
     return amp
-
-
-def prepare(phases: Sequence[float]) -> DoubledState:
-    """Uniform superposition over the support, reference register empty."""
-    n = _check_phases(phases).size
-    return DoubledState._built(_uniform(n), n)
 
 
 def _round(
@@ -157,43 +107,32 @@ def _measure(
     return amp, p
 
 
-def apply_interference_round(state: DoubledState, phases: Sequence[float]) -> DoubledState:
-    """Pairing, phase kick on the data register, pairing again."""
-    arr = _check_phases(phases)
-    n = state.n_support
-    if arr.size != n:
-        raise InvalidParameterError("one phase per supported assignment required")
-    a, b = _round(state.amplitudes, n, np.exp(1j * arr))
-    return DoubledState._built(np.concatenate([a, b]), n)
-
-
-def measure_reference(state: DoubledState, outcome: int) -> tuple[DoubledState, float]:
-    """Project on the reference register being empty (1) or occupied (0).
-
-    After outcome 0 the occupied reference register becomes the new data
-    register. Returns the post-measurement state and the branch probability.
-    """
-    if outcome not in (0, 1):
-        raise InvalidParameterError("outcome must be 0 or 1")
-    amp, p = _measure(state.a_block if outcome else state.b_block, outcome)
-    return DoubledState._built(amp, state.n_support), float(p)
-
-
 def run_sequence_fullsim(
     phases: Sequence[float], y: MeasurementSequence
 ) -> tuple[float, np.ndarray]:
-    """Joint probability of ``y`` and the conditional per-assignment distribution."""
-    arr = _check_phases(phases)
-    check_limit("dense_support", arr.size, "dense simulation")
+    """Joint probability of ``y`` and the conditional per-assignment distribution.
+
+    One record from scratch, through the kernels of the layered oracle. The
+    norm is checked on the start state, on the full state after each round
+    and on the kept state after each measurement.
+    """
+    arr = np.asarray(phases, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise InvalidParameterError("need a nonempty 1-d list of phases")
+    n = arr.size
+    check_limit("dense_support", n, "dense simulation")
     check_limit("dense_sequence", y.m, "dense simulation")
-    state = prepare(arr)
+    kick = np.exp(1j * arr)
+    amp = _uniform(n)
+    _check_norms(amp)
     log_p = 0.0
     for outcome in y.outcomes:
-        state = apply_interference_round(state, arr)
-        state, p = measure_reference(state, outcome)
+        a, b = _round(amp, n, kick)
+        _check_norms(np.concatenate([a, b]))
+        amp, p = _measure(a if outcome else b, outcome)
+        _check_norms(amp)
         log_p += math.log(p)
-    distribution = np.abs(state.a_block) ** 2
-    return math.exp(log_p), distribution
+    return math.exp(log_p), np.abs(amp[:n]) ** 2
 
 
 @dataclass(frozen=True)

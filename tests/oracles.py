@@ -422,6 +422,12 @@ def ref_tail_mass(thetas, counts, theta: float, atol: float = 1e-12) -> float:
     return hit / support
 
 
+def ref_band_mass(thetas, counts, half_width: float, atol: float = 1e-12) -> float:
+    support = sum(int(c) for c in counts)
+    hit = sum(int(c) for t, c in zip(thetas, counts) if abs(t - math.pi / 2) <= half_width + atol)
+    return hit / support
+
+
 def ref_uniform_run_exact(total: int) -> Fraction:
     """Product form of the all-ones run probability on a flat spectrum."""
     p = Fraction(1)

@@ -17,15 +17,16 @@ import numpy as np
 from phaseamp.amplifier import (
     MeasurementSequence,
     initial_state,
+    run_sequence,
     sequence_probability,
     step,
-    success_run,
+    tail_probability,
+    unconditional_tail_probability,
 )
 from phaseamp.analytics import (
     TwoPeakModel,
     band_bound,
     bound_from_success_run,
-    sampling_comparison,
     two_peak_required_measurements,
     two_peak_stats,
     uniform_run_probability,
@@ -35,6 +36,8 @@ from phaseamp.encoding import build_histogram, histogram_from_phases, uniform_hi
 from phaseamp.experiments import ExperimentConfig, build_reports, success_trajectory
 from phaseamp.fullsim import compare_with_class_weights
 from phaseamp.graphs import ObjectiveKind, parse_graph_spec
+
+from .oracles import ref_band_mass, ref_tail_mass
 
 BENCHMARKS = ("line:10", "grid:3x3", "grid:4x4", "starring:16")
 
@@ -72,7 +75,7 @@ def test_criterion_01_grid_initial_optimal_probability():
 def test_criterion_02_grid_conditional_optimal_after_10():
     start = time.perf_counter()
     h = _grid44()
-    state, _ = success_run(h, 10)
+    state, _ = run_sequence(h, MeasurementSequence.successes(10))
     conditional = float(state.weights[24])
     elapsed = time.perf_counter() - start
     ok = abs(conditional - 2.5e-3) / 2.5e-3 < 0.10 and elapsed < 1.0
@@ -86,7 +89,7 @@ def test_criterion_02_grid_conditional_optimal_after_10():
 
 def test_criterion_03_grid_run_probability():
     h = _grid44()
-    _, p_fold = success_run(h, 10)
+    _, p_fold = run_sequence(h, MeasurementSequence.successes(10))
     p_closed = math.exp(sequence_probability(h, MeasurementSequence.successes(10)))
     ok = (
         abs(p_fold - 0.012) / 0.012 < 0.10
@@ -207,15 +210,15 @@ def test_criterion_09_bounds_never_violated():
         h = histogram_from_phases(np.sort(rng.uniform(0.01, math.pi, size=n)))
         p01 = math.exp(sequence_probability(h, MeasurementSequence((0, 1))))
         half_width = float(rng.uniform(0.05, math.pi / 2 - 0.05))
-        if band_bound(p01, half_width) > h.band_mass(half_width) + 1e-12:
+        if band_bound(p01, half_width) > ref_band_mass(h.thetas, h.counts, half_width) + 1e-12:
             band_violations += 1
         for m in (1, 2, 3):
-            _, p_run = success_run(h, m)
+            _, p_run = run_sequence(h, MeasurementSequence.successes(m))
             theta_ref = float(rng.uniform(0.05, math.pi - 0.05))
             while float(np.min(np.abs(h.thetas - theta_ref))) < 1e-6:
                 theta_ref = float(rng.uniform(0.05, math.pi - 0.05))
             bounds = bound_from_success_run(p_run, m, theta_ref)
-            tail = h.tail_mass(theta_ref)
+            tail = ref_tail_mass(h.thetas, h.counts, theta_ref)
             if not (bounds.lower - 1e-12 <= tail <= bounds.upper + 1e-12):
                 bracket_violations += 1
             checked += 1
@@ -234,10 +237,12 @@ def test_criterion_10_amplified_never_beats_direct_sampling():
     checked = 0
     for spec in BENCHMARKS:
         h = build_histogram(parse_graph_spec(spec), ObjectiveKind.MAXCUT)
-        for theta in h.thetas:
-            for m in range(1, 11):
-                cmp = sampling_comparison(h, float(theta), m)
-                if cmp.p_amplified > cmp.p_sampled + 1e-15:
+        start = initial_state(h)
+        for m in range(1, 11):
+            state, _ = run_sequence(h, MeasurementSequence.successes(m))
+            for theta in h.thetas.tolist():
+                p_amplified = unconditional_tail_probability(state, theta)
+                if p_amplified > tail_probability(start, theta) + 1e-15:
                     violations += 1
                 checked += 1
     ok = violations == 0

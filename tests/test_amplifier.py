@@ -21,7 +21,6 @@ from phaseamp.amplifier import (
     sample_assignment,
     sequence_probability,
     step,
-    success_run,
     tail_probability,
     unconditional_tail_probability,
 )
@@ -55,6 +54,7 @@ from .oracles import (
     ref_objective,
     ref_sequence_probability,
     ref_success_trajectory,
+    ref_tail_mass,
     ref_validating_step,
 )
 
@@ -241,7 +241,8 @@ class TestRunSequence:
         assert np.allclose(state.weights, initial_state(grid44_histogram).weights)
 
     def test_success_run_is_all_ones(self, grid44_histogram):
-        state_a, p_a = success_run(grid44_histogram, 6)
+        assert MeasurementSequence.successes(6) == MeasurementSequence((1,) * 6)
+        state_a, p_a = run_sequence(grid44_histogram, MeasurementSequence.successes(6))
         state_b, p_b = run_sequence(grid44_histogram, MeasurementSequence((1,) * 6))
         assert p_a == p_b
         assert np.array_equal(state_a.weights, state_b.weights)
@@ -249,7 +250,7 @@ class TestRunSequence:
     def test_long_success_run_matches_log_closed_form(self, grid44_histogram):
         # Each step does O(levels) work, so twenty thousand steps stay quick.
         h = grid44_histogram
-        state, p = success_run(h, 20000)
+        state, p = run_sequence(h, MeasurementSequence.successes(20000))
         expected = ref_log_sequence_probability(h.thetas, h.counts, 20000, 20000)
         assert state.log_sequence_probability == pytest.approx(expected, rel=1e-10)
         log_p = sequence_probability(h, MeasurementSequence.successes(20000))
@@ -509,14 +510,14 @@ class TestClosedForm:
 
 class TestTails:
     def test_tail_probability_includes_threshold_level(self, grid44_histogram):
-        state, _ = success_run(grid44_histogram, 3)
+        state, _ = run_sequence(grid44_histogram, MeasurementSequence.successes(3))
         mask = grid44_histogram.thetas >= math.pi / 2 - 1e-12
         assert tail_probability(state, math.pi / 2) == pytest.approx(
             float(state.weights[mask].sum())
         )
 
     def test_unconditional_tail_factorizes(self, grid44_histogram):
-        state, p = success_run(grid44_histogram, 5)
+        state, p = run_sequence(grid44_histogram, MeasurementSequence.successes(5))
         tail = tail_probability(state, 3 * math.pi / 4)
         assert unconditional_tail_probability(state, 3 * math.pi / 4) == pytest.approx(
             p * tail, rel=1e-12
@@ -526,7 +527,7 @@ class TestTails:
         state = initial_state(grid44_histogram)
         for theta in (0.5, math.pi / 2, math.pi):
             assert tail_probability(state, theta) == pytest.approx(
-                grid44_histogram.tail_mass(theta)
+                ref_tail_mass(grid44_histogram.thetas, grid44_histogram.counts, theta)
             )
 
 
@@ -548,7 +549,7 @@ class TestSampling:
     def test_samples_follow_the_weights(self, monkeypatch):
         g = parse_graph_spec("grid:4x5")
         h = build_histogram(g, ObjectiveKind.MAXCUT)
-        state, _ = success_run(h, 10)
+        state, _ = run_sequence(h, MeasurementSequence.successes(10))
         for route in each_route(monkeypatch):
             draws = sample_assignment(
                 state, g, ObjectiveKind.MAXCUT, 20_000, np.random.default_rng(42)
@@ -565,7 +566,7 @@ class TestSampling:
         g = parse_graph_spec("line:6")
         h = build_histogram(g, ObjectiveKind.MAXCUT)
         table = build_class_table(g, ObjectiveKind.MAXCUT)
-        state, _ = success_run(h, 1)
+        state, _ = run_sequence(h, MeasurementSequence.successes(1))
         for route in each_route(monkeypatch):
             draws = sample_assignment(state, g, ObjectiveKind.MAXCUT, 20_000, 8)
             for level in range(h.n_levels):
@@ -592,7 +593,7 @@ class TestSampling:
     def test_seed_reproducibility(self, monkeypatch):
         g = make_line(5)
         h = build_histogram(g, ObjectiveKind.MAXCUT)
-        state, _ = success_run(h, 1)
+        state, _ = run_sequence(h, MeasurementSequence.successes(1))
         for route in each_route(monkeypatch):
             a = sample_assignment(state, g, ObjectiveKind.MAXCUT, 50, 11)
             assert np.array_equal(a, sample_assignment(state, g, ObjectiveKind.MAXCUT, 50, 11))

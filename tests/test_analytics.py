@@ -1,4 +1,4 @@
-"""Closed forms: flat-spectrum asymptotics, two-peak filter, windows, bounds."""
+"""Closed forms: flat-spectrum asymptotics, two-peak filter, bounds."""
 
 from __future__ import annotations
 
@@ -10,48 +10,50 @@ import numpy as np
 import pytest
 
 from phaseamp import analytics
-from phaseamp.amplifier import MeasurementSequence, sequence_probability, success_run
+from phaseamp.amplifier import (
+    MeasurementSequence,
+    initial_state,
+    run_sequence,
+    sequence_probability,
+    tail_probability,
+    unconditional_tail_probability,
+)
 from phaseamp.analytics import (
     TwoPeakModel,
     band_bound,
     bound_from_success_run,
     central_binomial_norm,
-    central_binomial_norm_exact,
-    estimate_mass_from_sequence,
     gaussian_tail_estimate,
-    peak_window,
-    sampling_comparison,
     two_peak_required_measurements,
     two_peak_stats,
     uniform_run_probability,
     uniform_run_probability_exact,
     uniform_step_success,
-    uniform_step_success_exact,
 )
-from phaseamp.encoding import (
-    histogram_from_phases,
-    two_peak_histogram,
-    uniform_histogram,
-)
+from phaseamp.encoding import PhaseHistogram, histogram_from_phases, uniform_histogram
 from phaseamp.errors import InvalidParameterError, ResourceLimitError
 
-from .oracles import ref_erf, ref_uniform_run_exact
+from .oracles import ref_band_mass, ref_erf, ref_tail_mass, ref_uniform_run_exact
 
 
 class TestFlatSpectrum:
     @pytest.mark.parametrize("m,expected", [(0, 1), (1, Fraction(1, 2)), (3, Fraction(1, 20))])
     def test_central_binomial_norm_exact(self, m, expected):
-        assert central_binomial_norm_exact(m) == expected
-        assert central_binomial_norm(m) == pytest.approx(float(expected))
+        assert central_binomial_norm(m) == float(expected)
 
-    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    @pytest.mark.parametrize("m", [0, 1, 3, 40, 600, 3000])
+    def test_central_binomial_norm_is_the_rounded_fraction(self, m):
+        assert central_binomial_norm(m) == float(Fraction(1, math.comb(2 * m, m)))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, 10**5, 10**300])
     def test_step_success(self, m):
-        assert uniform_step_success_exact(m) == Fraction(2 * m - 1, 2 * m)
-        assert uniform_step_success(m) == pytest.approx((2 * m - 1) / (2 * m))
+        assert uniform_step_success(m) == float(Fraction(2 * m - 1, 2 * m))
 
     def test_step_success_needs_positive_index(self):
-        with pytest.raises(InvalidParameterError):
-            uniform_step_success_exact(0)
+        with pytest.raises(InvalidParameterError, match="^steps are numbered from 1$"):
+            uniform_step_success(0)
+        with pytest.raises(InvalidParameterError, match="^m must be nonnegative$"):
+            central_binomial_norm(-1)
 
     @pytest.mark.parametrize("total", [1, 2, 5, 30])
     def test_run_probability_is_the_step_product(self, total):
@@ -97,7 +99,7 @@ class TestFlatSpectrum:
         # A fine flat histogram converges on the continuum closed form.
         h = uniform_histogram(10_000)
         for m in (1, 2, 3):
-            _, p = success_run(h, m)
+            _, p = run_sequence(h, MeasurementSequence.successes(m))
             assert p == pytest.approx(
                 float(uniform_run_probability_exact(m)), abs=1e-3
             )
@@ -182,10 +184,10 @@ class TestTwoPeakStats:
     def test_matches_discretized_histogram(self):
         # Dyadic gains keep both routes exactly representable in floats.
         model = TwoPeakModel.from_gains(Fraction(1, 4), Fraction(1, 2), Fraction(2))
-        h = two_peak_histogram(model, 8)
+        h = PhaseHistogram([model.alpha_l, model.alpha_u], [6, 2])
         for m in range(6):
             stats = two_peak_stats(model, m)
-            _, p_run = success_run(h, m) if m else (None, 1.0)
+            _, p_run = run_sequence(h, MeasurementSequence.successes(m))
             assert p_run == pytest.approx(float(stats.run_probability), rel=1e-12)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 20])
@@ -265,48 +267,6 @@ class TestTwoPeakStats:
             two_peak_required_measurements(model, 0)
 
 
-class TestPeakWindow:
-    def test_center_and_width(self):
-        win = peak_window(2, 8)
-        assert win.z_max == pytest.approx((8 - 4) / 8)
-        assert win.width == pytest.approx(math.sqrt(8 * 2 * 6 / 8**3))
-
-    def test_all_ones_peaks_at_pi(self):
-        win = peak_window(5, 5)
-        assert win.z_max == -1.0
-        assert win.interval[1] == pytest.approx(math.pi)
-
-    def test_width_is_largest_at_the_balanced_count(self):
-        for m in (2, 5, 12, 31, 40):
-            widths = [peak_window(q, m).width for q in range(m + 1)]
-            assert max(widths) == widths[m // 2]
-            assert max(widths) <= math.sqrt(2 / m) + 1e-15
-
-    def test_interval_is_ordered_and_clipped(self):
-        for q, m in ((0, 4), (1, 7), (3, 6), (6, 6)):
-            win = peak_window(q, m)
-            lo, hi = win.interval
-            assert 0.0 <= lo <= hi <= math.pi
-            assert lo <= math.acos(min(1.0, max(-1.0, win.z_max))) <= hi
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidParameterError):
-            peak_window(1, 0)
-        with pytest.raises(InvalidParameterError):
-            peak_window(5, 4)
-
-    def test_estimate_mass_normalizes_by_the_peak(self):
-        # At the peak probability itself the estimate saturates at 1.
-        peak = (3 / 8) ** 3 * (5 / 8) ** 5
-        assert estimate_mass_from_sequence(peak, 3, 8) == pytest.approx(1.0)
-        assert estimate_mass_from_sequence(peak / 4, 3, 8) == pytest.approx(0.25)
-
-    def test_estimate_mass_handles_pure_records(self):
-        assert estimate_mass_from_sequence(0.5, 5, 5) == 0.5
-        assert estimate_mass_from_sequence(0.5, 0, 5) == 0.5
-        assert estimate_mass_from_sequence(2.0, 0, 5) == 1.0
-
-
 class TestTailBounds:
     def test_worked_example(self):
         # p(run of 2 ones) = 3/8 on a pure pi-level histogram, ref at 2pi/3.
@@ -325,11 +285,11 @@ class TestTailBounds:
             n = int(rng.integers(2, 30))
             h = histogram_from_phases(np.sort(rng.uniform(0.02, math.pi, size=n)))
             for m in (1, 2, 3):
-                _, p_run = success_run(h, m)
+                _, p_run = run_sequence(h, MeasurementSequence.successes(m))
                 theta_ref = float(rng.uniform(0.1, math.pi - 0.1))
                 if np.min(np.abs(h.thetas - theta_ref)) < 1e-6:
                     continue
-                tail = h.tail_mass(theta_ref)
+                tail = ref_tail_mass(h.thetas, h.counts, theta_ref)
                 bounds = bound_from_success_run(p_run, m, theta_ref)
                 assert bounds.lower - 1e-12 <= tail <= bounds.upper + 1e-12
 
@@ -365,7 +325,7 @@ class TestTailBounds:
             h = histogram_from_phases(np.sort(rng.uniform(0.02, math.pi, size=n)))
             p01 = math.exp(sequence_probability(h, MeasurementSequence((0, 1))))
             hw = float(rng.uniform(0.1, math.pi / 2 - 0.1))
-            assert band_bound(p01, hw) <= h.band_mass(hw) + 1e-12
+            assert band_bound(p01, hw) <= ref_band_mass(h.thetas, h.counts, hw) + 1e-12
 
     def test_band_bound_rejects_bad_width(self):
         with pytest.raises(InvalidParameterError):
@@ -374,21 +334,15 @@ class TestTailBounds:
             band_bound(0.2, math.pi / 2)
 
 
+
 class TestSamplingComparison:
     def test_amplified_run_never_beats_direct_draws(self, benchmark_histograms):
+        # Per preparation, surviving m successes and landing in the tail is
+        # never likelier than one direct draw landing there.
         for h in benchmark_histograms.values():
-            for theta in h.thetas:
-                for m in range(1, 6):
-                    cmp = sampling_comparison(h, float(theta), m)
-                    assert cmp.p_amplified <= cmp.p_sampled + 1e-15
-
-    def test_amplified_equals_unconditional_tail(self, grid44_histogram):
-        from phaseamp.amplifier import unconditional_tail_probability
-
-        h = grid44_histogram
-        for m in (1, 3, 5):
-            state, _ = success_run(h, m)
-            cmp = sampling_comparison(h, 3 * math.pi / 4, m)
-            assert cmp.p_amplified == pytest.approx(
-                unconditional_tail_probability(state, 3 * math.pi / 4), rel=1e-10
-            )
+            start = initial_state(h)
+            for m in range(1, 6):
+                state, _ = run_sequence(h, MeasurementSequence.successes(m))
+                for theta in h.thetas.tolist():
+                    p_amplified = unconditional_tail_probability(state, theta)
+                    assert p_amplified <= tail_probability(start, theta) + 1e-15

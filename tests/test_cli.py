@@ -32,6 +32,7 @@ from .oracles import (
     ref_json_text,
     ref_objective,
 )
+from .test_bench_targets import _load_tracing
 
 
 # One line for every run length too large for float arithmetic.
@@ -1324,6 +1325,43 @@ class TestJsonWriter:
         assert amplifier.sampling_route(graphs.parse_graph_spec("grid:3x3")) is None
 
 
+def _unreached(sources: dict[str, str], traced: set[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Each (module, name) of a function, class or non-dunder method defined in
+    ``sources`` (module name to text) that no ``Name``, ``Attribute`` or import
+    alias names outside its own definition, and that ``traced`` does not list."""
+    defined, named = [], []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, top.name, top))
+            if isinstance(top, ast.ClassDef):
+                defined += [
+                    (module, f"{top.name}.{node.name}", node)
+                    for node in top.body
+                    if isinstance(node, ast.FunctionDef) and not re.fullmatch(r"__\w+__", node.name)
+                ]
+        for node in ast.walk(tree):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name is not None:
+                named.append((name, module, node.lineno))
+    return [
+        (module, qualname)
+        for module, qualname, node in defined
+        if (module, qualname) not in traced
+        and not any(
+            name == qualname.rpartition(".")[2]
+            and not (where == module and node.lineno <= line <= node.end_lineno)
+            for name, where, line in named
+        )
+    ]
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1371,6 +1409,25 @@ class TestTopLevel:
             ("experiments.py", "_texts", "TypeError"),
             ("experiments.py", "_rows", "TypeError"),
         }
+
+    def test_src_defines_only_what_src_or_the_tracer_names(self):
+        # A name only tests call is library-only code.
+        sources = {
+            path.stem: path.read_text()
+            for path in sorted(Path(phaseamp.__file__).parent.glob("*.py"))
+        }
+        traced = {(module, attr) for module, attr, _ in _load_tracing().TARGETS}
+        assert _unreached(sources, traced) == []
+
+    def test_the_reach_scan_ignores_a_name_inside_its_own_definition(self):
+        sources = {
+            "a": "def used():\n    return helper\n\n\ndef helper():\n    return helper\n\n\n"
+                 "class K:\n    def __init__(self):\n        pass\n\n"
+                 "    def method(self):\n        return self.method\n",
+            "b": "from .a import used\n",
+        }
+        assert _unreached(sources, set()) == [("a", "K"), ("a", "K.method")]
+        assert _unreached(sources, {("a", "K"), ("a", "K.method")}) == []
 
     def test_src_prints_numbers_for_reports_in_experiments_only(self):
         # One CSV writer: only experiments.py spells the .12g format, and no

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from phaseamp import encoding, graphs
-from phaseamp.amplifier import initial_state
+from phaseamp.amplifier import initial_state, tail_probability
 from phaseamp.analytics import TwoPeakModel
 from phaseamp.encoding import (
     ClassTable,
@@ -19,7 +19,6 @@ from phaseamp.encoding import (
     build_class_table,
     build_histogram,
     histogram_from_phases,
-    two_peak_histogram,
     uniform_histogram,
 )
 from phaseamp.errors import LIMITS, InvalidParameterError, ResourceLimitError
@@ -260,25 +259,13 @@ class TestHistogramValidation:
 class TestMasses:
     def test_tail_mass_boundaries(self, grid44_histogram):
         h = grid44_histogram
-        assert h.tail_mass(0.0) == 1.0
-        assert h.tail_mass(math.pi) == pytest.approx(2 / (2**16 - 1))
+        start = initial_state(h)
+        assert h.tail_start(0.0) == 0
+        assert tail_probability(start, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert tail_probability(start, math.pi) == pytest.approx(2 / (2**16 - 1))
         # A level exactly at the threshold is included.
         expected = ref_tail_mass(h.thetas, h.counts, math.pi / 2)
-        assert h.tail_mass(math.pi / 2) == pytest.approx(expected, abs=1e-15)
-
-    def test_band_mass_matches_direct_count(self, benchmark_histograms):
-        for h in benchmark_histograms.values():
-            for hw in (0.2, 0.7, 1.2):
-                inside = sum(
-                    int(c)
-                    for t, c in zip(h.thetas, h.counts)
-                    if abs(t - math.pi / 2) <= hw + 1e-12
-                )
-                assert h.band_mass(hw) == pytest.approx(inside / h.support, abs=1e-15)
-
-    def test_band_mass_rejects_negative_width(self, grid44_histogram):
-        with pytest.raises(InvalidParameterError):
-            grid44_histogram.band_mass(-0.1)
+        assert tail_probability(start, math.pi / 2) == pytest.approx(expected, abs=1e-15)
 
 
 def histogram_report(h: PhaseHistogram, fmt: str) -> str:
@@ -323,7 +310,7 @@ class TestSerialization:
             histogram_from_phases([0.3, 0.3, 1.1, math.pi]),
             build_histogram(make_line(5), "covered-edges", include_zero=True),
             uniform_histogram(7),
-            two_peak_histogram(model, 40),
+            PhaseHistogram([model.alpha_l, model.alpha_u], [35, 5]),
         ):
             assert histogram_report(h, "json") == ref_json_text(ref_histogram_json_dict(h))
             assert histogram_report(h, "csv") == ref_histogram_csv(h)
@@ -353,21 +340,6 @@ class TestUniformHistogram:
         assert uniform_histogram(5).n_levels == 5
         with pytest.raises(ResourceLimitError, match="uniform histograms capped at 5 levels, got 6"):
             uniform_histogram(6)
-
-
-class TestTwoPeakHistogram:
-    def test_split_follows_shares(self):
-        model = TwoPeakModel.from_gains(0.125, 0.125, 2)
-        h = two_peak_histogram(model, 8)
-        assert h.n_levels == 2
-        assert h.counts.tolist() == [7, 1]
-        assert h.thetas[0] == pytest.approx(math.acos(1 - 0.125))
-        assert h.thetas[1] == pytest.approx(math.pi)
-
-    def test_rejects_unpopulated_peak(self):
-        model = TwoPeakModel.from_gains(0.125, 0.125, 2)
-        with pytest.raises(InvalidParameterError, match="cannot populate both peaks"):
-            two_peak_histogram(model, 3)
 
 
 class TestHistogramFromPhases:

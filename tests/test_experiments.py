@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phaseamp.amplifier import MeasurementSequence, fold, run_sequence, success_run
+from phaseamp.amplifier import MeasurementSequence, fold, run_sequence
 from phaseamp.encoding import build_histogram, histogram_from_phases, uniform_histogram
 from phaseamp.errors import ImpossibleOutcomeError, InvalidParameterError, ResourceLimitError
 from phaseamp.experiments import (
@@ -82,7 +82,7 @@ class TestSuccessTrajectory:
 
     def test_rows_match_fold(self, grid44_histogram):
         report = success_trajectory(grid44_histogram, 10)
-        state, p = success_run(grid44_histogram, 10)
+        state, p = run_sequence(grid44_histogram, MeasurementSequence.successes(10))
         assert len(report.records) == 11
         assert report.p_sequence[-1] == pytest.approx(p, rel=1e-12)
         assert report.p_optimal_conditional[-1] == pytest.approx(
@@ -99,7 +99,7 @@ class TestSuccessTrajectory:
 
     def test_tails_are_recorded(self, grid44_histogram):
         report = success_trajectory(grid44_histogram, 2)
-        state, _ = success_run(grid44_histogram, 2)
+        state, _ = run_sequence(grid44_histogram, MeasurementSequence.successes(2))
         mask = grid44_histogram.thetas >= math.pi / 2 - 1e-12
         assert report.tail_ge_half_pi[2] == pytest.approx(
             float(state.weights[mask].sum())
@@ -299,7 +299,7 @@ class TestFig3:
         # The weights come from the closed form; the fold's agree to 1e-12
         # relative (7e-15 seen here), and the empty levels are 0 on both.
         dist = reports_of("fig3", successes=7)
-        state, _ = success_run(grid44_histogram, 7)
+        state, _ = run_sequence(grid44_histogram, MeasurementSequence.successes(7))
         folded = grid44_histogram.support * state.weights
         np.testing.assert_allclose(dist.scaled_weights, folded, rtol=1e-12, atol=0)
         assert np.array_equal(dist.scaled_weights == 0, folded == 0)
@@ -330,7 +330,7 @@ class TestGridTable:
             top = int(np.max(np.nonzero(h.counts)[0]))
             for m in (0, 1, 10, 37):
                 table = reports_of("grid-table", spec, successes=m)
-                state, p_run = success_run(h, m)
+                state, p_run = run_sequence(h, MeasurementSequence.successes(m))
                 assert table.label == spec and table.m == m
                 assert table.initial_optimal_probability == float(h.counts[top] / h.support)
                 optimal = float(state.weights[top])

@@ -17,101 +17,93 @@ from phaseamp.errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
-from phaseamp.fullsim import (
-    DoubledState,
-    apply_interference_round,
-    compare_with_class_weights,
-    measure_reference,
-    prepare,
-    run_sequence_fullsim,
-)
+from phaseamp.fullsim import compare_with_class_weights, run_sequence_fullsim
+from phaseamp.graphs import ObjectiveKind, objective_values, parse_graph_spec
 
 from .oracles import ref_compare_with_class_weights
 
 
-class TestDoubledState:
-    @pytest.mark.parametrize("build", [DoubledState, DoubledState._built])
+def _after_round(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both blocks after one round on the uniform start state."""
+    return fullsim._round(fullsim._uniform(phases.size), phases.size, np.exp(1j * phases))
+
+
+class TestNormCheck:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-    def test_non_finite_amplitudes_are_refused_on_both_build_paths(self, build, bad):
+    def test_non_finite_amplitudes_are_refused(self, bad):
         with pytest.raises(InvalidParameterError, match="norm"):
-            build(np.array([bad, 0.0], dtype=np.complex128), 1)
+            fullsim._check_norms(np.array([bad, 0.0], dtype=np.complex128))
 
-    @pytest.mark.parametrize("build", [DoubledState, DoubledState._built])
-    def test_unnormalized_amplitudes_are_refused_on_both_build_paths(self, build):
+    def test_unnormalized_amplitudes_are_refused(self):
         with pytest.raises(InvalidParameterError, match="norm"):
-            build(np.array([1.0, 1.0], dtype=np.complex128), 1)
+            fullsim._check_norms(np.array([1.0, 1.0], dtype=np.complex128))
 
-    def test_caller_array_is_copied_and_frozen(self):
-        amp = np.array([1.0, 0.0])
-        state = DoubledState(amp, 1)
-        amp[0] = 0.0
-        assert state.amplitudes[0] == 1.0
-        assert not state.amplitudes.flags.writeable
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_phase_is_refused_after_its_round(self, bad):
+        phases = np.array([bad, 1.0])
+        with np.errstate(invalid="ignore"):
+            p, dist = run_sequence_fullsim(phases, MeasurementSequence())
+            assert p == 1.0 and np.allclose(dist, 0.5)
+            with pytest.raises(InvalidParameterError, match="^state norm nan is not 1$"):
+                run_sequence_fullsim(phases, MeasurementSequence((1,)))
 
 
 class TestPrepare:
     def test_uniform_data_block(self):
-        state = prepare([0.1, 0.2, 0.3, 0.4])
-        assert np.allclose(state.a_block, 0.5)
-        assert np.allclose(state.b_block, 0.0)
+        assert np.array_equal(fullsim._uniform(4), [0.5] * 4 + [0.0] * 4)
+        p, dist = run_sequence_fullsim([0.1, 0.2, 0.3, 0.4], MeasurementSequence())
+        assert p == 1.0
+        assert np.allclose(dist, 0.25)
 
     def test_rejects_empty(self):
-        with pytest.raises(InvalidParameterError):
-            prepare([])
+        for phases in ([], [[0.1, 0.2]]):
+            with pytest.raises(InvalidParameterError, match="^need a nonempty 1-d list of phases$"):
+                run_sequence_fullsim(phases, MeasurementSequence())
 
 
 class TestInterferenceRound:
     def test_preserves_norm(self):
         rng = np.random.default_rng(0)
         phases = rng.uniform(0.0, math.pi, size=16)
-        state = prepare(phases)
+        amp = fullsim._uniform(16)
         for _ in range(5):
-            state = apply_interference_round(state, phases)
-            state, _ = measure_reference(state, 1)
-            norm = float(np.sum(np.abs(state.amplitudes) ** 2))
+            a, b = fullsim._round(amp, 16, np.exp(1j * phases))
+            full = float(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2))
+            assert abs(full - 1.0) < 1e-12
+            amp, _ = fullsim._measure(a, 1)
+            norm = float(np.sum(np.abs(amp) ** 2))
             assert abs(norm - 1.0) < 1e-12
 
     def test_closed_form_after_one_round(self):
         phases = np.array([0.3, 1.1, 2.4])
-        state = apply_interference_round(prepare(phases), phases)
+        a, b = _after_round(phases)
         n = phases.size
         expected_a = (np.exp(1j * phases) - 1.0) / (2.0 * math.sqrt(n))
         expected_b = (np.exp(1j * phases) + 1.0) / (2.0 * math.sqrt(n))
-        assert np.allclose(state.a_block, expected_a, atol=1e-12)
-        assert np.allclose(state.b_block, expected_b, atol=1e-12)
-
-    def test_rejects_phase_count_mismatch(self):
-        state = prepare([0.1, 0.2])
-        with pytest.raises(InvalidParameterError):
-            apply_interference_round(state, [0.1, 0.2, 0.3])
+        assert np.allclose(a, expected_a, atol=1e-12)
+        assert np.allclose(b, expected_b, atol=1e-12)
 
 
 class TestMeasureReference:
     def test_branch_probabilities_sum_to_one(self):
-        phases = np.array([0.4, 0.9, 1.7, 2.8])
-        state = apply_interference_round(prepare(phases), phases)
-        _, p1 = measure_reference(state, 1)
-        _, p0 = measure_reference(state, 0)
+        a, b = _after_round(np.array([0.4, 0.9, 1.7, 2.8]))
+        _, p1 = fullsim._measure(a, 1)
+        _, p0 = fullsim._measure(b, 0)
         assert p1 + p0 == pytest.approx(1.0, abs=1e-12)
 
     def test_success_probability_closed_form(self):
         phases = np.array([0.4, 0.9, 1.7, 2.8])
-        state = apply_interference_round(prepare(phases), phases)
-        _, p1 = measure_reference(state, 1)
+        _, p1 = fullsim._measure(_after_round(phases)[0], 1)
         assert p1 == pytest.approx(
             float(np.mean((1.0 - np.cos(phases)) / 2.0)), abs=1e-12
         )
 
     def test_impossible_outcome(self):
         phases = np.zeros(4)  # no phase kick: the data register never entangles
-        state = apply_interference_round(prepare(phases), phases)
-        with pytest.raises(ImpossibleOutcomeError):
-            measure_reference(state, 1)
-
-    def test_rejects_bad_outcome(self):
-        state = prepare([0.1])
-        with pytest.raises(InvalidParameterError):
-            measure_reference(state, 2)
+        with pytest.raises(ImpossibleOutcomeError, match="^outcome 1 has probability 0$"):
+            fullsim._measure(_after_round(phases)[0], 1)
+        with pytest.raises(ImpossibleOutcomeError, match="^outcome 1 has probability 0$"):
+            run_sequence_fullsim(phases, MeasurementSequence((0, 1)))
 
 
 class TestLayerKernels:
@@ -139,12 +131,12 @@ class TestLayerKernels:
             fullsim._check_norms(layer)
 
     def test_a_row_is_checked_as_its_state(self):
-        # Each row's norm is the one DoubledState checks for that row.
+        # Each row's norm is the one checked on that row alone.
         layer = self._layer(5)
         layer[2] *= 1.0 + 1e-9
         for row in layer:
             try:
-                DoubledState(row, 3)
+                fullsim._check_norms(row)
             except InvalidParameterError as err:
                 with pytest.raises(InvalidParameterError, match=f"^{err}$"):
                     fullsim._check_norms(layer)
@@ -163,14 +155,14 @@ class TestLayerKernels:
 
     def test_layer_measure_is_the_one_state_measure(self):
         phases = np.array([0.3, 1.2, 2.9])
-        state = apply_interference_round(prepare(phases), phases)
-        state, _ = measure_reference(state, 1)
-        a, b = fullsim._round(state.amplitudes[None, :], 3, np.exp(1j * phases))
+        kick = np.exp(1j * phases)
+        state, _ = fullsim._measure(_after_round(phases)[0], 1)
+        a, b = fullsim._round(state[None, :], 3, kick)
         children, p = fullsim._measure(np.stack((b, a), axis=1), (0, 1))
-        after = apply_interference_round(state, phases)
+        a, b = fullsim._round(state, 3, kick)
         for outcome in (0, 1):
-            child, q = measure_reference(after, outcome)
-            assert children[0, outcome].tobytes() == child.amplitudes.tobytes()
+            child, q = fullsim._measure(a if outcome else b, outcome)
+            assert children[0, outcome].tobytes() == child.tobytes()
             assert p[0, outcome] == q
 
     def test_fold_rows_are_the_one_state_steps(self):
@@ -200,7 +192,65 @@ class TestLayerKernels:
             amplifier._condition_rows(h, weights, [0.0, 0.0, 0.0])
 
 
+def _graph_phases(spec: str) -> np.ndarray:
+    """The phase pi f(x) / |E| of every assignment x of a graph's MaxCut."""
+    g = parse_graph_spec(spec)
+    values = objective_values(g, ObjectiveKind.MAXCUT, np.arange(1 << g.n_vertices))
+    return math.pi * values / g.edge_count
+
+
+class TestConservation:
+    """Summed over every record of a length, p(y) times the conditional
+    distribution is the initial one: the round and the measurement are
+    diagonal in the assignment register, and the two branch factors add up
+    to 1. A graph's phases repeat levels, which the oracle's random phase
+    sets never do."""
+
+    GRAPHS = ("line:6", "grid:2x3", "starring:8", "line:10")
+
+    @pytest.mark.parametrize("spec", GRAPHS)
+    def test_fold_layers_keep_the_initial_weights(self, spec):
+        h = histogram_from_phases(_graph_phases(spec))
+        start = h.counts / h.support
+        weights, logs = start[None, :], [0.0]
+        for _ in range(8):
+            weights, logs = amplifier._condition_rows(h, weights, logs)
+            total = np.exp(logs) @ weights
+            assert np.max(np.abs(total - start)) <= 1e-13
+
+    @pytest.mark.parametrize("spec", GRAPHS)
+    def test_dense_layers_keep_the_uniform_distribution(self, spec):
+        phases = _graph_phases(spec)
+        n = phases.size
+        kick = np.exp(1j * phases)
+        dense, probs = fullsim._uniform(n)[None, :], np.ones(1)
+        for _ in range(8):
+            a, b = fullsim._round(dense, n, kick)
+            dense, p = fullsim._measure(np.stack((b, a), axis=1), (0, 1))
+            dense = dense.reshape(-1, 2 * n)
+            probs = (probs[:, None] * p).ravel()
+            total = probs @ (np.abs(dense[:, :n]) ** 2)
+            assert np.max(np.abs(total - 1.0 / n)) <= 1e-13
+
+
 class TestRunSequenceFullsim:
+    def test_one_record_is_its_row_of_the_layer(self):
+        # One record from scratch runs the layer's kernels on one state, so it
+        # gives its row's distribution and probability bit for bit.
+        phases = np.array([0.2, 0.2, 1.3, 2.5, math.pi])
+        n = phases.size
+        kick = np.exp(1j * phases)
+        layer, logs = fullsim._uniform(n)[None, :], [0.0]
+        for m in range(1, 5):
+            a, b = fullsim._round(layer, n, kick)
+            layer, p = fullsim._measure(np.stack((b, a), axis=1), (0, 1))
+            layer = layer.reshape(-1, 2 * n)
+            logs = [logs[i >> 1] + math.log(q) for i, q in enumerate(p.ravel().tolist())]
+            for row, bits in enumerate(itertools.product((0, 1), repeat=m)):
+                p_record, dist = run_sequence_fullsim(phases, MeasurementSequence(bits))
+                assert p_record == math.exp(logs[row])
+                assert dist.tobytes() == (np.abs(layer[row, :n]) ** 2).tobytes()
+
     def test_agrees_with_per_level_fold(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -273,10 +323,19 @@ class TestOracleComparison:
             raise AssertionError("a state was built for one prefix")
 
         expected = ref_compare_with_class_weights(3, 8, 5, 2)
-        monkeypatch.setattr(DoubledState, "_built", classmethod(per_prefix))
+        measured = []
+        measure = fullsim._measure
+
+        def per_layer(kept, outcome):
+            measured.append(kept.shape[:-1])
+            return measure(kept, outcome)
+
+        monkeypatch.setattr(fullsim, "_measure", per_layer)
         monkeypatch.setattr(amplifier, "step", per_prefix)
         monkeypatch.setattr(amplifier, "_condition", per_prefix)
         assert compare_with_class_weights(3, 8, 5, 2) == expected
+        # One measurement per layer, of every prefix of the layer at once.
+        assert measured == [(2**m, 2) for m in range(5)] * 3
 
     def test_replays_no_sequence_from_scratch(self, monkeypatch):
         def replay(*args):

@@ -22,13 +22,13 @@ from phaseamp.amplifier import (
     sample_assignment,
     sequence_probability,
     step,
-    success_run,
+    tail_probability,
+    unconditional_tail_probability,
 )
 from phaseamp.analytics import (
     TwoPeakModel,
     band_bound,
     bound_from_success_run,
-    sampling_comparison,
     two_peak_stats,
 )
 from phaseamp.encoding import (
@@ -36,13 +36,12 @@ from phaseamp.encoding import (
     build_class_table,
     build_histogram,
     histogram_from_phases,
-    two_peak_histogram,
 )
 from phaseamp.errors import ImpossibleOutcomeError
 from phaseamp.fullsim import run_sequence_fullsim
 from phaseamp.graphs import Graph, ObjectiveKind, frontier_order
 
-from .oracles import ref_level_counts, ref_objective
+from .oracles import ref_band_mass, ref_level_counts, ref_objective, ref_tail_mass
 
 # Angle spans stay configurable per property: some invariants need every
 # branch probability strictly positive, which [eps, pi - eps] guarantees.
@@ -159,9 +158,9 @@ class TestBounds:
     @settings(deadline=None)
     def test_run_bounds_bracket_the_tail(self, h, m, theta_ref):
         assume(float(np.min(np.abs(h.thetas - theta_ref))) > 1e-6)
-        _, p_run = success_run(h, m)
+        _, p_run = run_sequence(h, MeasurementSequence.successes(m))
         bounds = bound_from_success_run(p_run, m, theta_ref)
-        tail = h.tail_mass(theta_ref)
+        tail = ref_tail_mass(h.thetas, h.counts, theta_ref)
         assert bounds.lower - 1e-9 <= tail <= bounds.upper + 1e-9
 
     @given(
@@ -171,7 +170,7 @@ class TestBounds:
     @settings(deadline=None)
     def test_band_bound_stays_below_the_band_mass(self, h, half_width):
         p01 = math.exp(sequence_probability(h, MeasurementSequence((0, 1))))
-        assert band_bound(p01, half_width) <= h.band_mass(half_width) + 1e-9
+        assert band_bound(p01, half_width) <= ref_band_mass(h.thetas, h.counts, half_width) + 1e-9
 
     @given(
         h=histograms(),
@@ -180,8 +179,12 @@ class TestBounds:
     )
     @settings(deadline=None)
     def test_amplified_hit_rate_never_beats_direct_sampling(self, h, m, theta):
-        cmp = sampling_comparison(h, theta, m)
-        assert cmp.p_amplified <= cmp.p_sampled + 1e-15
+        try:
+            state, _ = run_sequence(h, MeasurementSequence.successes(m))
+        except ImpossibleOutcomeError:
+            return  # no run survives, so none lands in the tail
+        p_amplified = unconditional_tail_probability(state, theta)
+        assert p_amplified <= tail_probability(initial_state(h), theta) + 1e-15
 
 
 class TestTwoPeakDualRoute:
@@ -222,14 +225,13 @@ class TestTwoPeakDualRoute:
         model = TwoPeakModel.from_gains(
             Fraction(n_high, n_support), Fraction(a_l_num, 16), Fraction(a_u_num, 16)
         )
-        h = two_peak_histogram(model, n_support)
-        assert h.counts.tolist() == [n_support - n_high, n_high]
+        h = PhaseHistogram([model.alpha_l, model.alpha_u], [n_support - n_high, n_high])
         stats = two_peak_stats(model, m)
         if m == 0:
             assert stats.run_probability == 1
             return
         try:
-            _, p_fold = success_run(h, m)
+            _, p_fold = run_sequence(h, MeasurementSequence.successes(m))
         except ImpossibleOutcomeError:
             assert float(stats.run_probability) == 0.0
             return
