@@ -34,9 +34,10 @@ class TestNormCheck:
         with pytest.raises(InvalidParameterError, match="norm"):
             fullsim._check_norms(np.array([bad, 0.0], dtype=np.complex128))
 
-    def test_unnormalized_amplitudes_are_refused(self):
+    @pytest.mark.parametrize("amp", [[1.0, 1.0], [0.5, 0.0]], ids=["above_one", "below_one"])
+    def test_unnormalized_amplitudes_are_refused(self, amp):
         with pytest.raises(InvalidParameterError, match="norm"):
-            fullsim._check_norms(np.array([1.0, 1.0], dtype=np.complex128))
+            fullsim._check_norms(np.array(amp, dtype=np.complex128))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_phase_is_refused_after_its_round(self, bad):
